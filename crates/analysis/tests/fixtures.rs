@@ -1,5 +1,4 @@
-//! Fixture corpus for the detlint rules (introduced with detlint-v5;
-//! the D5 shard-executor confinement pair landed with detlint-v6).
+//! Fixture corpus for the detlint rules (introduced with detlint-v5).
 //!
 //! Every rule D1–D7 has a violating and a clean fixture under
 //! `tests/fixtures/`. The violating snippet must fire exactly the
@@ -81,26 +80,17 @@ fn violating_fixtures_fire_exactly_their_rule() {
     }
 }
 
-/// D5 confinement (detlint-v6): host-thread creation is sanctioned at
-/// exactly two library files — the deterministic worker pool and the
-/// intra-run shard executor. The same worker-spawn snippet must be
-/// silent at the shard executor's path and fire D5 anywhere else in the
-/// crate.
+/// D5 confinement (detlint-v7): host-thread creation is sanctioned at
+/// exactly one library file, the deterministic worker pool. The same
+/// spawn must be silent at the pool's path and fire D5 anywhere else in
+/// the crate.
 #[test]
-fn d5_confinement_permits_only_the_pool_and_shard_executor() {
-    for path in ["crates/simcore/src/pool.rs", "crates/simcore/src/shard.rs"] {
-        let found = scan_source("simcore", path, &read_fixture("d5_shard_clean.rs"));
-        let fired = found.iter().filter(|v| v.rule == "D5").count();
-        assert_eq!(
-            fired, 0,
-            "{path}: sanctioned spawn site tripped D5: {found:?}"
-        );
-    }
-    let found = scan_source(
-        "simcore",
-        "crates/simcore/src/lanes.rs",
-        &read_fixture("d5_shard_violating.rs"),
-    );
+fn d5_confinement_permits_only_the_pool() {
+    let spawn = read_fixture("d5_violating.rs");
+    let found = scan_source("simcore", "crates/simcore/src/pool.rs", &spawn);
+    let fired = found.iter().filter(|v| v.rule == "D5").count();
+    assert_eq!(fired, 0, "sanctioned spawn site tripped D5: {found:?}");
+    let found = scan_source("simcore", "crates/simcore/src/lanes.rs", &spawn);
     let fired = found.iter().filter(|v| v.rule == "D5").count();
     assert_eq!(
         fired, 1,

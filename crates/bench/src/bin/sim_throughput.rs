@@ -11,21 +11,13 @@
 //! events/sec ratio and a wall-clock ratio.
 //!
 //! Writes `BENCH_sim_throughput.json` at the repo root and prints a
-//! table. Usage: `sim_throughput [--reps N] [--jobs N] [--shards N]
+//! table. Usage: `sim_throughput [--reps N] [--jobs N]
 //! [--check | --baseline-reset]` (default 5 reps; best-of-N wall time is
 //! reported to suppress scheduling noise). Reps run on the sweep worker
 //! pool, but `--jobs` defaults to **1** here — co-running reps contend
 //! for host cores and depress the very wall times this benchmark exists
 //! to measure. Raise it only for smoke runs where absolute numbers don't
 //! matter.
-//!
-//! On the [`GATED_ARM`] the binary also measures the **intra-run sharded
-//! engine** at shards=2 and shards=`--shards` (default 4), asserts its
-//! report metrics and processed-event count match the sequential
-//! optimized engine exactly, and records each arm's wall-clock speedup
-//! in a `sharding` object alongside `host_cpus`. The sharded profile run
-//! feeds `barrier_wait_ns`/`mailbox_ns`/`window_events` entries in the
-//! phase breakdown.
 //!
 //! A rewrite of the baseline **ratchets**: each gate quantity is written
 //! twice, `*_floor` (the gate value: the minimum of the fresh and
@@ -44,13 +36,10 @@
 //! a committed speedup floor of at least 1.2x sees its fresh
 //! engine-vs-engine speedup fall below 0.9x its committed
 //! `events_per_sec_speedup_milli_floor` (the host-independent ratio;
-//! near-1x arms are exempt — their ratio is wall-noise), if the
-//! tick-dominated-at-scale arm misses the absolute 3x speedup floor, or
-//! — on hosts with >= 4 CPUs — if that arm's sharded run at shards >= 4
-//! misses the 1.5x wall-clock floor (smaller hosts print an explicit
-//! `gate skipped: host_cpus < 4` line instead). Legacy un-suffixed
-//! field names are accepted for baselines committed before the
-//! floor/current split.
+//! near-1x arms are exempt — their ratio is wall-noise), or if the
+//! tick-dominated-at-scale arm misses the absolute 3x speedup floor.
+//! Legacy un-suffixed field names are accepted for baselines committed
+//! before the floor/current split.
 
 use std::time::Instant;
 
@@ -85,16 +74,6 @@ const SPEEDUP_FLOOR_MILLI: u64 = 3000;
 /// ratio gate watches the arms the optimizations demonstrably win
 /// (the tick-dominated machines), where rot would actually show.
 const RATIO_GATE_MIN_MILLI: u64 = 1200;
-
-/// Wall-clock speedup floor for the intra-run sharded engine on
-/// [`GATED_ARM`] at shards >= 4, in milli-units (1500 = 1.5x). Only
-/// enforced on hosts with at least [`MIN_SHARD_GATE_CPUS`] CPUs — the
-/// sharded engine cannot beat the sequential one without cores to run
-/// the shards on, so `--check` prints an explicit skip line elsewhere.
-const SHARD_SPEEDUP_FLOOR_MILLI: u64 = 1500;
-
-/// Minimum host CPUs for the shard speedup gate to be meaningful.
-const MIN_SHARD_GATE_CPUS: usize = 4;
 
 struct Arm {
     name: &'static str,
@@ -248,12 +227,6 @@ fn phase_json(p: &PhaseProfile) -> JsonValue {
         ("mech_timer_ns", JsonValue::UInt(p.mech_timer_ns as u128)),
         ("balance_ns", JsonValue::UInt(p.balance_ns as u128)),
         ("other_ns", JsonValue::UInt(p.other_ns as u128)),
-        (
-            "barrier_wait_ns",
-            JsonValue::UInt(p.barrier_wait_ns as u128),
-        ),
-        ("mailbox_ns", JsonValue::UInt(p.mailbox_ns as u128)),
-        ("window_events", JsonValue::UInt(p.window_events as u128)),
         ("total_ns", JsonValue::UInt(p.total_ns() as u128)),
     ])
 }
@@ -265,7 +238,6 @@ fn eps(events: u64, wall_ns: u64) -> u64 {
 fn main() {
     let mut reps = 5usize;
     let mut jobs = 1usize;
-    let mut shards = 4usize;
     let mut check = false;
     let mut baseline_reset = false;
     let mut args = std::env::args().skip(1);
@@ -274,18 +246,12 @@ fn main() {
             reps = args.next().and_then(|v| v.parse().ok()).unwrap_or(5).max(1);
         } else if a == "--jobs" {
             jobs = args.next().and_then(|v| v.parse().ok()).unwrap_or(1).max(1);
-        } else if a == "--shards" {
-            shards = args.next().and_then(|v| v.parse().ok()).unwrap_or(4).max(2);
         } else if a == "--check" {
             check = true;
         } else if a == "--baseline-reset" {
             baseline_reset = true;
         }
     }
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
     // The bench crate sits at <root>/crates/bench, so the repo root is two
     // levels up from the compile-time manifest dir.
     let Some(root) = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -313,16 +279,13 @@ fn main() {
     );
     let mut rows = Vec::new();
     for arm in arms() {
-        // Sequential arms pin shards=1 explicitly: the benchmark measures
-        // the exact current code path even when OVERSUB_SHARDS is set.
-        let seq_cfg = arm.cfg.clone().with_shards(1);
         let (ref_ns, ref_events, ref_mechs, ref_tails) = measure(
             &arm,
-            seq_cfg.clone().with_reference_engine(true),
+            arm.cfg.clone().with_reference_engine(true),
             reps,
             jobs,
         );
-        let (fast_ns, fast_events, mechs, tails) = measure(&arm, seq_cfg.clone(), reps, jobs);
+        let (fast_ns, fast_events, mechs, tails) = measure(&arm, arm.cfg.clone(), reps, jobs);
         // The exact digest is a report metric: both engines must agree on
         // it bit-for-bit, same as the mechanism counters below.
         if ref_tails.to_string_compact() != tails.to_string_compact() {
@@ -376,75 +339,6 @@ fn main() {
             wall_x_milli / 1000,
             wall_x_milli % 1000,
         );
-        // Intra-run sharding arms (gated arm only): the same optimized
-        // configuration at shards=2 and shards=N must reproduce the
-        // sequential run's report metrics and event count exactly;
-        // wall-clock speedup over the sequential optimized engine is the
-        // gate quantity on multi-core hosts.
-        let mut sharding = JsonValue::Null;
-        if arm.name == GATED_ARM {
-            let mut counts = vec![2usize];
-            if shards > 2 {
-                counts.push(shards);
-            }
-            let mut shard_rows = Vec::new();
-            for &n in &counts {
-                let (s_ns, s_events, s_mechs, s_tails) =
-                    measure(&arm, arm.cfg.clone().with_shards(n), reps, jobs);
-                let s_json = JsonValue::Array(s_mechs).to_string_compact();
-                if s_json != fast_json {
-                    eprintln!(
-                        "{}: mechanism counters DIVERGED at shards={n}\n  seq:    \
-                         {fast_json}\n  shards: {s_json}",
-                        arm.name
-                    );
-                    std::process::exit(1);
-                }
-                if s_tails.to_string_compact() != tails.to_string_compact() {
-                    eprintln!(
-                        "{}: exact latency digest DIVERGED at shards={n}\n  seq:    {}\n  \
-                         shards: {}",
-                        arm.name,
-                        tails.to_string_compact(),
-                        s_tails.to_string_compact()
-                    );
-                    std::process::exit(1);
-                }
-                if s_events != fast_events {
-                    eprintln!(
-                        "{}: processed-event count DIVERGED at shards={n} \
-                         ({s_events} != {fast_events}) — window folds must count every tick",
-                        arm.name
-                    );
-                    std::process::exit(1);
-                }
-                let sx_milli = (fast_ns as u128 * 1000 / s_ns.max(1) as u128) as u64;
-                println!(
-                    "{:<32} {:>12} {:>10} {:>12} {:>10.2} {:>8} {:>7}.{:03}",
-                    format!("  + shards={n}"),
-                    "-",
-                    "-",
-                    eps(s_events, s_ns),
-                    s_ns as f64 / 1e6,
-                    "-",
-                    sx_milli / 1000,
-                    sx_milli % 1000,
-                );
-                shard_rows.push(obj(vec![
-                    ("shards", JsonValue::UInt(n as u128)),
-                    ("wall_ns", JsonValue::UInt(s_ns as u128)),
-                    (
-                        "wall_clock_speedup_milli",
-                        JsonValue::UInt(sx_milli as u128),
-                    ),
-                ]));
-            }
-            sharding = obj(vec![
-                ("host_cpus", JsonValue::UInt(host_cpus as u128)),
-                ("reports_identical", JsonValue::Bool(true)),
-                ("arms", JsonValue::Array(shard_rows)),
-            ]);
-        }
         // Ratchet the gate fields against the committed row (if any):
         // keep the minimum, so regenerating on a lucky run cannot
         // tighten the 0.9x gates (see module docs). Each gate quantity is
@@ -499,27 +393,17 @@ fn main() {
                 "wall_clock_speedup_milli_current",
                 JsonValue::UInt(wall_x_milli as u128),
             ),
-            ("sharding", sharding),
             ("mechanisms", JsonValue::Array(mechs)),
             ("latency_tails", tails),
             (
                 "phase_breakdown",
-                obj({
-                    let mut pb = vec![
-                        (
-                            "reference",
-                            phase_json(&profile(&arm, seq_cfg.clone().with_reference_engine(true))),
-                        ),
-                        ("optimized", phase_json(&profile(&arm, seq_cfg.clone()))),
-                    ];
-                    if arm.name == GATED_ARM {
-                        pb.push((
-                            "optimized_sharded",
-                            phase_json(&profile(&arm, arm.cfg.clone().with_shards(shards))),
-                        ));
-                    }
-                    pb
-                }),
+                obj(vec![
+                    (
+                        "reference",
+                        phase_json(&profile(&arm, arm.cfg.clone().with_reference_engine(true))),
+                    ),
+                    ("optimized", phase_json(&profile(&arm, arm.cfg.clone()))),
+                ]),
             ),
         ]));
     }
@@ -550,9 +434,7 @@ fn main() {
              (resched coalescing, optimized <= reference); phase_breakdown is one \
              instrumented untimed run per engine; gate fields (*_floor) ratchet \
              to the per-arm minimum across regenerations unless --baseline-reset, \
-             *_current is the fresh measurement; sharding.arms record the \
-             deterministic sharded engine's wall-clock vs the sequential \
-             optimized engine on this host"
+             *_current is the fresh measurement"
                     .to_string(),
             ),
         ),
@@ -560,7 +442,7 @@ fn main() {
     ]);
 
     if check {
-        match check_against_baseline(&doc, &path, host_cpus) {
+        match check_against_baseline(&doc, &path) {
             Ok(()) => println!("\nthroughput gate passed against {}", path.display()),
             Err(e) => {
                 eprintln!("\nthroughput gate FAILED: {e}");
@@ -593,24 +475,13 @@ fn main() {
 ///    optimizations quietly rotting even on faster or slower CI
 ///    hardware; near-1x arms are exempt, see the constant's docs);
 /// 3. [`GATED_ARM`]'s fresh speedup clears the absolute
-///    [`SPEEDUP_FLOOR_MILLI`] floor;
-/// 4. on hosts with at least [`MIN_SHARD_GATE_CPUS`] CPUs,
-///    [`GATED_ARM`]'s sharded run at shards >= 4 clears the
-///    [`SHARD_SPEEDUP_FLOOR_MILLI`] wall-clock floor over the sequential
-///    optimized engine. On smaller hosts the gate is skipped with an
-///    explicit `gate skipped: host_cpus < 4` line — a sharded engine
-///    cannot outrun the sequential one without cores to run shards on,
-///    and a silent pass would misreport coverage.
+///    [`SPEEDUP_FLOOR_MILLI`] floor.
 ///
 /// Gate fields read the `*_floor` names, falling back to the legacy
 /// un-suffixed names for baselines committed before the split; fresh
 /// values read `*_current` the same way. The baseline file is not
 /// rewritten.
-fn check_against_baseline(
-    fresh: &JsonValue,
-    path: &std::path::Path,
-    host_cpus: usize,
-) -> Result<(), String> {
+fn check_against_baseline(fresh: &JsonValue, path: &std::path::Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read baseline {}: {e}", path.display()))?;
     let baseline = JsonValue::parse(&text)
@@ -645,42 +516,6 @@ fn check_against_baseline(
                 "{name}: speedup {fresh_speedup} milli below the hard floor \
                  {SPEEDUP_FLOOR_MILLI} milli"
             ));
-        }
-        if name == GATED_ARM {
-            // Gate 4: the sharded engine's wall-clock win. Byte-identity
-            // of the sharded reports was already asserted while measuring
-            // (the process exits non-zero on any divergence), so only the
-            // speedup is judged here.
-            let best_shard = row
-                .get("sharding")
-                .and_then(|s| s.get("arms"))
-                .and_then(|a| a.as_array())
-                .into_iter()
-                .flatten()
-                .filter(|a| a.get("shards").and_then(|v| v.as_u64()).unwrap_or(0) >= 4)
-                .filter_map(|a| a.get("wall_clock_speedup_milli").and_then(|v| v.as_u64()))
-                .max();
-            if host_cpus < MIN_SHARD_GATE_CPUS {
-                println!(
-                    "  {name}: shard speedup gate skipped: host_cpus < {MIN_SHARD_GATE_CPUS} \
-                     (host has {host_cpus})"
-                );
-            } else {
-                match best_shard {
-                    Some(sx) if sx >= SHARD_SPEEDUP_FLOOR_MILLI => println!(
-                        "  {name}: shards>=4 wall speedup {sx} milli >= floor \
-                         {SHARD_SPEEDUP_FLOOR_MILLI} -> ok"
-                    ),
-                    Some(sx) => failures.push(format!(
-                        "{name}: shards>=4 wall speedup {sx} milli below the \
-                         {SHARD_SPEEDUP_FLOOR_MILLI} milli floor on a {host_cpus}-CPU host"
-                    )),
-                    None => failures.push(format!(
-                        "{name}: no shards>=4 measurement in the fresh run \
-                         (pass --shards 4 or higher)"
-                    )),
-                }
-            }
         }
         let Some(base) = base_rows
             .iter()

@@ -212,17 +212,6 @@ pub struct RunConfig {
     /// disable the resched-coalescing and cadence-lane fast paths (their
     /// correctness proofs assume FIFO ties).
     pub schedule_salt: u64,
-    /// Intra-run shard count for the deterministic parallel engine.
-    /// `0` (the default) means auto: honour the `OVERSUB_SHARDS`
-    /// environment variable, falling back to 1. `1` is the plain
-    /// sequential engine; `> 1` shards the per-CPU tick queues across
-    /// that many core groups and advances them concurrently under
-    /// conservative lookahead windows. The report is byte-identical at
-    /// any shard count — sharding only arms on configurations where the
-    /// equivalence proof holds (optimized engine, no fault plan, no
-    /// schedule salt, no trace/audit env toggles) and silently falls
-    /// back to sequential otherwise.
-    pub shards: usize,
 }
 
 impl RunConfig {
@@ -251,7 +240,6 @@ impl RunConfig {
             lockdep: false,
             race_detector: false,
             schedule_salt: 0,
-            shards: 0,
         }
     }
 
@@ -358,14 +346,6 @@ impl RunConfig {
         self
     }
 
-    /// Builder-style: set the intra-run shard count (`0` = auto via the
-    /// `OVERSUB_SHARDS` environment variable, `1` = sequential). See the
-    /// [`shards`](Self::shards) field.
-    pub fn with_shards(mut self, n: usize) -> Self {
-        self.shards = n;
-        self
-    }
-
     /// Builder-style: register an out-of-tree [`Mechanism`]. The factory
     /// is invoked once per engine construction so every run gets a fresh
     /// instance; registration order is pipeline order (after the in-tree
@@ -430,6 +410,9 @@ impl RunConfig {
         if self.mech.bwd && self.bwd().interval_ns == 0 {
             return Err("BWD is enabled with interval_ns = 0 (timer would never advance)".into());
         }
+        if self.sched.balance_interval_ns == 0 {
+            return Err("sched.balance_interval_ns = 0 (balance ticks would never advance)".into());
+        }
         if self.mech.ple && self.ple().window_ns == 0 {
             return Err("PLE is enabled with window_ns = 0 (exit storm on every spin)".into());
         }
@@ -486,13 +469,6 @@ impl RunConfig {
                 "fault injection is combined with the golden-determinism reference \
                  engine: the reference exists to prove fault-free byte-identity, so \
                  a chaos run on it proves nothing about the optimized engine"
-                    .to_string(),
-            );
-        }
-        if self.shards > 1 && self.reference_engine {
-            warnings.push(
-                "shards > 1 is combined with the reference engine: sharding only \
-                 arms on the optimized engine, so the run will execute sequentially"
                     .to_string(),
             );
         }
@@ -604,6 +580,10 @@ mod tests {
         let mut cfg = RunConfig::vanilla(4).with_mech(Mechanisms::ple_only());
         cfg.ple_params.window_ns = 0;
         assert!(cfg.validate().is_err());
+
+        let mut cfg = RunConfig::vanilla(4);
+        cfg.sched.balance_interval_ns = 0;
+        assert!(cfg.validate().unwrap_err().contains("balance_interval_ns"));
     }
 
     #[test]

@@ -37,7 +37,6 @@ mod events;
 mod lockdep;
 mod race_hooks;
 mod report;
-mod shard;
 mod spin;
 mod watchdog;
 
@@ -183,31 +182,12 @@ pub struct PhaseProfile {
     pub balance_ns: u64,
     /// Everything else (segment ends, slice expiry, I/O, elasticity...).
     pub other_ns: u64,
-    /// Sharded runs only: coordinator time blocked at the end-of-phase
-    /// barrier after finishing its own shard — the visible cost of
-    /// lookahead imbalance between shards. Zero at shards=1.
-    pub barrier_wait_ns: u64,
-    /// Sharded runs only: coordinator time spent at window boundaries
-    /// merging shard outputs back into the global order and draining the
-    /// cross-shard mailbox (re-arm routing, account write-back). Zero at
-    /// shards=1.
-    pub mailbox_ns: u64,
-    /// Sharded runs only: events executed inside lookahead windows (the
-    /// portion of the run that actually parallelized). A count, not
-    /// nanoseconds; excluded from [`total_ns`](Self::total_ns).
-    pub window_events: u64,
 }
 
 impl PhaseProfile {
     /// Total attributed host nanoseconds.
     pub fn total_ns(&self) -> u64 {
-        self.queue_pop_ns
-            + self.pick_ns
-            + self.mech_timer_ns
-            + self.balance_ns
-            + self.other_ns
-            + self.barrier_wait_ns
-            + self.mailbox_ns
+        self.queue_pop_ns + self.pick_ns + self.mech_timer_ns + self.balance_ns + self.other_ns
     }
 
     fn slot_for(&mut self, ev: &Event) -> &mut u64 {
@@ -323,26 +303,6 @@ pub(crate) struct Engine {
     /// Per-phase host-time accumulators; `None` (one branch per event)
     /// unless the run was started via [`run_phase_profiled`].
     pub phase_prof: Option<Box<PhaseProfile>>,
-    /// True when this run executes on the sharded (intra-run parallel)
-    /// engine: `shards > 1` requested and every arming condition holds
-    /// (optimized engine, zero salt, no fault plan, no trace env knobs).
-    /// When false the run takes today's single-queue path exactly.
-    pub sharded: bool,
-    /// Sharded runs: whether the most recently popped tick event was
-    /// already rotated (re-armed at `time + interval` under the sequence
-    /// number the single queue would have allocated). Plays the role
-    /// `EventQueue::last_pop_rotated` plays for the single queue — see
-    /// [`Engine::last_pop_rotated`].
-    pub tick_rotated: bool,
-    /// Per-shard tick queues plus window scratch; `Some` exactly when
-    /// `sharded` (taken out of the engine for the duration of the run).
-    pub shard_rt: Option<Box<shard::ShardRt>>,
-    /// CPU → shard index map (empty when not sharded).
-    pub shard_map: Vec<u32>,
-    /// Timestamped cross-shard interaction log (wakes of remote tasks,
-    /// migrations, elastic broadcasts), drained at window boundaries.
-    /// Counters only — never part of the report.
-    pub shard_mail: shard::Mailbox,
 }
 
 impl Engine {
@@ -462,43 +422,6 @@ impl Engine {
             .map(|i| mechs.idle_quiet_constant(i))
             .collect();
         let pending_idle_checks = vec![0u64; mechs.len()];
-        let trace_progress = std::env::var_os("OVERSUB_TRACE").is_some();
-        let check_rqs = std::env::var_os("OVERSUB_CHECK").is_some();
-        let trace_cpu = std::env::var("OVERSUB_TRACE_CPU")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok());
-        // Intra-run sharding: `cfg.shards` (0 = the OVERSUB_SHARDS env, or
-        // 1) core-groups advance concurrently under conservative lookahead
-        // windows. Sharding arms only when window classification is exact:
-        // the optimized engine (the reference engine is the baseline, and
-        // its classic queue has no (time, seq) pop order to merge by),
-        // zero tie-break salt (salted pop order is not key order), no
-        // fault plan (jittered/dropped re-arms break rotation parity), and
-        // no per-event trace/audit env knobs (those observe every pop).
-        // Disarmed runs take today's single-queue path bit-exactly.
-        let shards_req = if cfg.shards != 0 {
-            cfg.shards
-        } else {
-            std::env::var("OVERSUB_SHARDS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(1)
-        };
-        let nshards = shards_req.clamp(1, ncpu);
-        let sharded = nshards > 1
-            && !reference
-            && cfg.schedule_salt == 0
-            && faults.is_none()
-            && !trace_progress
-            && !check_rqs
-            && trace_cpu.is_none();
-        let (shard_rt, shard_map) = if sharded {
-            let rt = shard::ShardRt::new(nshards, ncpu, mechs.len());
-            let map = rt.cpu_shard_map();
-            (Some(Box::new(rt)), map)
-        } else {
-            (None, Vec::new())
-        };
         let mut eng = Engine {
             mechs,
             sched,
@@ -515,9 +438,11 @@ impl Engine {
             timer_intervals,
             idle_quiet_charge,
             pending_idle_checks,
-            trace_progress,
-            check_rqs,
-            trace_cpu,
+            trace_progress: std::env::var_os("OVERSUB_TRACE").is_some(),
+            check_rqs: std::env::var_os("OVERSUB_CHECK").is_some(),
+            trace_cpu: std::env::var("OVERSUB_TRACE_CPU")
+                .ok()
+                .and_then(|v| v.parse::<usize>().ok()),
             stint_epoch: vec![0; ncpu],
             seg_epoch: vec![0; ncpu],
             run_kind: vec![RunKind::Useful; ncpu],
@@ -548,11 +473,6 @@ impl Engine {
             lockdep,
             race,
             phase_prof: None,
-            sharded,
-            tick_rotated: false,
-            shard_rt,
-            shard_map,
-            shard_mail: shard::Mailbox::default(),
             cfg,
         };
 
@@ -568,17 +488,16 @@ impl Engine {
             for &(idx, interval_ns) in &timers {
                 // Stagger timers so cores do not all fire at once.
                 let phase = (c as u64 * 7_919) % interval_ns;
-                eng.schedule_tick(
+                eng.queue.schedule_cadenced(
                     SimTime::from_nanos(interval_ns + phase),
                     interval_ns,
                     Event::MechTimer(idx, c),
                 );
             }
-            let balance_interval_ns = eng.cfg.sched.balance_interval_ns;
-            let phase = (c as u64 * 104_729) % balance_interval_ns;
-            eng.schedule_tick(
-                SimTime::from_nanos(balance_interval_ns + phase),
-                balance_interval_ns,
+            let phase = (c as u64 * 104_729) % eng.cfg.sched.balance_interval_ns;
+            eng.queue.schedule_cadenced(
+                SimTime::from_nanos(eng.cfg.sched.balance_interval_ns + phase),
+                eng.cfg.sched.balance_interval_ns,
                 Event::Balance(c),
             );
         }
@@ -627,11 +546,6 @@ impl Engine {
         // Keep the accumulators out of `self` during the loop so the
         // instrumented arms can time `dispatch(&mut self)` calls.
         let mut prof = self.phase_prof.take();
-        if self.sharded {
-            if let Some(rt) = self.shard_rt.take() {
-                return shard::run_sharded(self, *rt, prof, workload, label);
-            }
-        }
         loop {
             let popped = match prof.as_deref_mut() {
                 None => self.queue.pop(),
@@ -689,17 +603,6 @@ impl Engine {
                 break;
             }
         }
-        self.wrap_up(workload, label, prof)
-    }
-
-    /// Shared tail of the sequential and sharded run loops: makespan,
-    /// deferred idle-check flush, report construction.
-    pub(crate) fn wrap_up(
-        mut self,
-        workload: &dyn Workload,
-        label: &str,
-        prof: Option<Box<PhaseProfile>>,
-    ) -> (RunReport, TraceLog, u64, Option<PhaseProfile>) {
         let makespan = if self.live == 0 {
             self.last_exit
         } else {
@@ -718,55 +621,6 @@ impl Engine {
             events,
             prof.map(|p| *p),
         )
-    }
-
-    /// Whether the tick event just popped was already rotated (re-armed
-    /// one interval later under the single-queue-identical sequence
-    /// number), so its handler must skip the explicit re-arm. On the
-    /// single-queue path this is exactly the queue's own flag; the
-    /// sharded run loop maintains `tick_rotated` itself because tick
-    /// events pop from per-shard queues the facade rotates.
-    #[inline]
-    pub(crate) fn last_pop_rotated(&self) -> bool {
-        if self.sharded {
-            self.tick_rotated
-        } else {
-            self.queue.last_pop_rotated()
-        }
-    }
-
-    /// Schedule a cadenced per-CPU tick (`MechTimer`/`Balance`). On the
-    /// single-queue path this is `schedule_cadenced`; under sharding the
-    /// event goes to the owning shard's tick queue, carrying a sequence
-    /// number allocated from the coordinator queue's global counter so
-    /// its `(time, seq)` key is identical either way.
-    pub(crate) fn schedule_tick(&mut self, at: SimTime, interval_ns: u64, ev: Event) {
-        if let Some(rt) = self.shard_rt.as_deref_mut() {
-            let cpu = match ev {
-                Event::MechTimer(_, c) | Event::Balance(c) => c,
-                _ => 0,
-            };
-            let seq = self.queue.alloc_seq();
-            rt.insert_tick(self.shard_map[cpu] as usize, at, seq, interval_ns, ev);
-        } else {
-            self.queue.schedule_cadenced(at, interval_ns, ev);
-        }
-    }
-
-    /// Log a cross-shard interaction (remote wake, migration) into the
-    /// timestamped mailbox. No-op when not sharded or when both CPUs
-    /// belong to the same shard. These all occur on the coordinator
-    /// between windows — the sequential stretches *are* the window
-    /// boundaries — so recording doubles as the drain point.
-    #[inline]
-    pub(crate) fn note_cross_shard(&mut self, from_cpu: usize, to_cpu: usize, kind: shard::Mail) {
-        if !self.sharded {
-            return;
-        }
-        if self.shard_map.get(from_cpu) == self.shard_map.get(to_cpu) {
-            return;
-        }
-        self.shard_mail.note(self.now, kind);
     }
 
     /// Request an `Event::Resched(cpu)` at `at`, coalescing adjacent

@@ -25,7 +25,7 @@ impl Engine {
         // auto-cadence (fault-free optimized runs) the queue already
         // rotated this timer one interval ahead during the pop — the
         // re-arm below would compute the identical `(time, seq)` key.
-        if !self.last_pop_rotated() {
+        if !self.queue.last_pop_rotated() {
             let mut rearm_at = self.now + interval_ns;
             let mut dropped = false;
             if let Some(f) = self.faults.as_mut() {

@@ -109,12 +109,6 @@ pub struct Scheduler {
     /// (consumed via [`Scheduler::take_skips_released`] by the BWD
     /// mechanism's `on_pick` hook for its `skips_cleared` counter).
     skips_released: u64,
-    /// True while the sharded engine has a lookahead window open. Between
-    /// window sync points the runqueues and the waiter board are owned by
-    /// the shards' frozen snapshot: any runqueue mutation here would race
-    /// the windows' quiet-tick classification, so the central mutators
-    /// debug-assert the flag is clear (see `assert_window_closed`).
-    parallel_window: bool,
 }
 
 impl Scheduler {
@@ -142,35 +136,7 @@ impl Scheduler {
             active_mask,
             reference: false,
             skips_released: 0,
-            parallel_window: false,
         }
-    }
-
-    /// Mark a sharded-engine lookahead window open (`on = true`) or
-    /// closed. While open, runqueue/waiter-board mutators debug-assert
-    /// they are not called: windows execute only quiet ticks, which by
-    /// contract never touch scheduler queues.
-    pub fn set_parallel_window(&mut self, on: bool) {
-        self.parallel_window = on;
-    }
-
-    /// Debug-mode ownership assert for the sharded engine: runqueue and
-    /// waiter-board mutations are forbidden while a lookahead window is
-    /// open (they would invalidate the windows' frozen classification).
-    #[inline]
-    fn assert_window_closed(&self) {
-        debug_assert!(
-            !self.parallel_window,
-            "scheduler mutated inside an open lookahead window"
-        );
-    }
-
-    /// Current waiter-board reading: number of runqueues with at least
-    /// one schedulable task, O(1). The sharded engine freezes this into
-    /// each window's context (board = 0 is what makes periodic-balance
-    /// ticks quiet).
-    pub fn waiter_board_count(&self) -> usize {
-        self.waiter_board.get()
     }
 
     /// Drain the count of skip flags released by round expiry since the
@@ -272,7 +238,6 @@ impl Scheduler {
 
     /// Enqueue a brand-new runnable task on `cpu`.
     pub fn enqueue_new(&mut self, tasks: &mut TaskTable, tid: TaskId, cpu: CpuId, now: SimTime) {
-        self.assert_window_closed();
         self.ensure_task(tid);
         let rq_min = self.cpus[cpu.0].rq.min_vruntime();
         tasks.state[tid.0] = TaskState::Runnable;
@@ -406,7 +371,6 @@ impl Scheduler {
         now: SimTime,
         reason: StopReason,
     ) -> Option<TaskId> {
-        self.assert_window_closed();
         let c = &mut self.cpus[cpu.0];
         let Some(tid) = c.current.take() else {
             debug_assert!(false, "stop_current on idle cpu {}", cpu.0);
@@ -510,7 +474,6 @@ impl Scheduler {
         waker_cpu: CpuId,
         now: SimTime,
     ) -> WakeOutcome {
-        self.assert_window_closed();
         self.ensure_task(tid);
         debug_assert_eq!(tasks.state[tid.0], TaskState::Sleeping);
         let (cpu, scan_cost) = self.select_cpu(tasks, tid, waker_cpu);
@@ -574,7 +537,6 @@ impl Scheduler {
         tid: TaskId,
         now: SimTime,
     ) -> (CpuId, u64, bool) {
-        self.assert_window_closed();
         let cpu = tasks.last_cpu[tid.0];
         let rq_min = self.cpus[cpu.0].rq.min_vruntime();
         debug_assert!(

@@ -913,49 +913,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// `(time, seq)` key of the next live event, if any.
-    ///
-    /// With a zero tie-break salt the queue's pop order is exactly the
-    /// lexicographic order of these keys, so callers running several
-    /// queues side by side (the sharded engine's per-shard tick queues)
-    /// can merge them into the single-queue pop sequence by comparing
-    /// keys. With a non-zero salt the key is still the front event's
-    /// identity, but key order no longer equals pop order — the sharded
-    /// engine disarms itself in that mode.
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        match &mut self.imp {
-            Imp::Fast(q) => q.peek_key(),
-            Imp::Classic(q) => {
-                q.drain_cancelled();
-                q.heap.peek().map(|e| (e.time, e.seq))
-            }
-        }
-    }
-
-    /// Allocate the next sequence number from this queue's counter
-    /// without scheduling anything.
-    ///
-    /// The sharded engine threads one global counter — this queue's —
-    /// through its per-shard tick queues: every shard-side insert first
-    /// claims a sequence number here, so each event carries the exact
-    /// `(time, seq)` key the single-queue engine would have assigned at
-    /// the same point in the run, and [`seq_mark`](Self::seq_mark)
-    /// parity (resched coalescing) is preserved.
-    pub fn alloc_seq(&mut self) -> u64 {
-        match &mut self.imp {
-            Imp::Fast(q) => {
-                let seq = q.next_seq;
-                q.next_seq += 1;
-                seq
-            }
-            Imp::Classic(q) => {
-                let seq = q.next_seq;
-                q.next_seq += 1;
-                seq
-            }
-        }
-    }
-
     /// Time of the next live event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         match &mut self.imp {

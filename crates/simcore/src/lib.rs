@@ -12,7 +12,6 @@ pub mod events;
 pub mod pool;
 pub mod resource;
 pub mod rng;
-pub mod shard;
 pub mod time;
 pub mod vclock;
 
@@ -20,7 +19,6 @@ pub use events::{EventHandle, EventQueue};
 pub use pool::{JobPanic, PoolStats};
 pub use resource::{Grant, KernelLock, KernelLockParams};
 pub use rng::SimRng;
-pub use shard::{with_shards, ShardSession, ShardStats};
 pub use time::{SimTime, MICROS, MILLIS, NANOS, SECS};
 pub use vclock::VClock;
 

@@ -22,7 +22,8 @@ use oversub::workloads::micro::{Primitive, PrimitiveStress};
 use oversub::workloads::pipeline::{SpinPipeline, WaitFlavor};
 use oversub::workloads::skeletons::{BenchProfile, Skeleton};
 use oversub::{
-    run, try_run, FaultPlan, MachineSpec, Mechanisms, RunConfig, RunReport, WatchdogParams,
+    run, try_run, EngineError, FaultPlan, MachineSpec, Mechanisms, RunConfig, RunReport,
+    WatchdogParams,
 };
 use proptest::prelude::*;
 
@@ -288,6 +289,30 @@ fn sensor_noise_triggers_bwd_backoff() {
         report.bwd.checks,
         report.bwd.detections
     );
+}
+
+/// A config that cannot run must come back from `try_run` as an error,
+/// never a panic. The engine divides by the balance interval when it
+/// staggers the balance ticks, so `validate()` must reject zero.
+#[test]
+fn zero_balance_interval_is_rejected_without_a_panic() {
+    let mut cfg = RunConfig::vanilla(4)
+        .with_machine(MachineSpec::PaperN(4))
+        .with_mech(Mechanisms::optimized());
+    cfg.sched.balance_interval_ns = 0;
+    let err = cfg.validate().expect_err("validate() must reject it");
+    assert!(
+        err.contains("balance_interval_ns"),
+        "unexpected message: {err}"
+    );
+    let mut wl = SpinPipeline::new(8, 20, WaitFlavor::Flags);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run(&mut wl, &cfg)));
+    match outcome {
+        Ok(Err(EngineError::InvalidConfig(msg))) => assert_eq!(msg, err),
+        Ok(Err(e)) => panic!("wrong error: {e}"),
+        Ok(Ok(_)) => panic!("try_run accepted a zero balance interval"),
+        Err(_) => panic!("try_run panicked instead of returning an error"),
+    }
 }
 
 proptest! {

@@ -25,9 +25,24 @@ use proptest::prelude::*;
 use std::any::Any;
 use std::sync::{Arc, Mutex};
 
+/// FNV-1a-64 of `bytes`: a dependency-free fingerprint of a report.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Run one workload twice — optimized vs reference engine — and assert
-/// byte-identical report JSON. Returns the two event counts.
-fn assert_golden(mut mk: impl FnMut() -> Box<dyn Workload>, cfg: &RunConfig, label: &str) {
+/// byte-identical report JSON. The optimized report must also match
+/// `expected`, its pinned `(len, FNV-1a-64)` of `to_json()`: comparing
+/// the two engines alone cannot catch an edit to shared code (scheduler,
+/// task table, event queue) that moves both reports the same way.
+fn assert_golden(
+    mut mk: impl FnMut() -> Box<dyn Workload>,
+    cfg: &RunConfig,
+    label: &str,
+    expected: (usize, u64),
+) {
     let optimized = {
         let mut wl = mk();
         run_counted(&mut *wl, &cfg.clone().with_reference_engine(false), label)
@@ -36,10 +51,16 @@ fn assert_golden(mut mk: impl FnMut() -> Box<dyn Workload>, cfg: &RunConfig, lab
         let mut wl = mk();
         run_counted(&mut *wl, &cfg.clone().with_reference_engine(true), label)
     };
+    let json = optimized.0.to_json();
     assert_eq!(
-        optimized.0.to_json(),
+        json,
         reference.0.to_json(),
         "{label}: optimized engine diverged from reference"
+    );
+    assert_eq!(
+        (json.len(), fnv1a64(json.as_bytes())),
+        expected,
+        "{label}: report bytes moved from the pinned fingerprint"
     );
     // Coalescing may only ever *remove* events, never add.
     assert!(
@@ -62,15 +83,24 @@ fn memcached_reports_are_bit_identical() {
         || Box::new(Memcached::paper(16, 8, 40_000.0)),
         &cfg,
         "memcached/16T/8c",
+        (26828, 0xddc0_b4d7_5344_1288),
     );
 }
 
 #[test]
 fn pipeline_reports_are_bit_identical_across_mechanisms() {
-    for (mech, name) in [
-        (Mechanisms::vanilla(), "vanilla"),
-        (Mechanisms::bwd_only(), "bwd"),
-        (Mechanisms::optimized(), "optimized"),
+    for (mech, name, expected) in [
+        (
+            Mechanisms::vanilla(),
+            "vanilla",
+            (2231, 0xb6ff_c288_ee99_d39d),
+        ),
+        (Mechanisms::bwd_only(), "bwd", (2395, 0x3535_829f_c476_f52b)),
+        (
+            Mechanisms::optimized(),
+            "optimized",
+            (2530, 0x9bb9_7871_6f4c_1aae),
+        ),
     ] {
         let cfg = RunConfig::vanilla(4)
             .with_machine(MachineSpec::PaperN(4))
@@ -80,13 +110,17 @@ fn pipeline_reports_are_bit_identical_across_mechanisms() {
             || Box::new(SpinPipeline::new(16, 30, WaitFlavor::Flags)),
             &cfg,
             &format!("pipeline/{name}"),
+            expected,
         );
     }
 }
 
 #[test]
 fn skeleton_benchmarks_are_bit_identical() {
-    for bench in ["fluidanimate", "streamcluster"] {
+    for (bench, expected) in [
+        ("fluidanimate", (1158, 0x227e_171a_f0b2_6d67)),
+        ("streamcluster", (1169, 0xf931_9280_599a_d002)),
+    ] {
         let profile = BenchProfile::by_name(bench).expect("known benchmark");
         let cfg = RunConfig::vanilla(8)
             .with_machine(MachineSpec::Paper8Cores)
@@ -96,6 +130,7 @@ fn skeleton_benchmarks_are_bit_identical() {
             || Box::new(Skeleton::scaled(profile, 16, 0.05).with_salt(7)),
             &cfg,
             &format!("skeleton/{bench}"),
+            expected,
         );
     }
 }
@@ -116,6 +151,7 @@ fn idle_heavy_machine_is_bit_identical() {
         || Box::new(Skeleton::scaled(profile, 8, 0.60).with_salt(11)),
         &cfg,
         "skeleton/8T/64c",
+        (1159, 0x12f8_a4ed_5866_dab7),
     );
 }
 
@@ -141,6 +177,7 @@ fn web_serving_with_elasticity_is_bit_identical() {
         || Box::new(WebServing::new(24, 8, 50_000.0)),
         &cfg,
         "web/24T/8c",
+        (10414, 0x7360_2654_cae2_de2a),
     );
 }
 
@@ -203,6 +240,7 @@ fn custom_mechanism_runs_are_bit_identical() {
         || Box::new(SpinPipeline::new(12, 24, WaitFlavor::Flags)),
         &cfg,
         "pipeline/custom-throttle",
+        (2220, 0xadc6_a1a8_33ff_8154),
     );
     // And it must actually have fired, or the test proves nothing.
     let mut wl = SpinPipeline::new(12, 24, WaitFlavor::Flags);
@@ -230,6 +268,7 @@ fn vm_ple_runs_are_bit_identical() {
         },
         &cfg,
         "pipeline/ple-vm",
+        (2374, 0xacee_c454_8ef9_c73d),
     );
 }
 
