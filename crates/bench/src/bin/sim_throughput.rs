@@ -1,14 +1,21 @@
 //! Simulator throughput benchmark: events/sec and wall-clock of the
 //! optimized engine (slab-cancellation queue + timer wheel, cached picks,
-//! resched coalescing, idle-quiet timer dispatch) versus the reference
-//! engine (classic heap+HashSet queue, uncached scans, no coalescing) on
-//! representative workloads. Both engines produce bit-identical *report
-//! metrics* — see `tests/determinism.rs`; this binary re-asserts the
-//! per-mechanism counters match on every arm — so this measures pure
-//! host-side speed. The engines' internal processed-event counts may
-//! legitimately differ (resched coalescing retires duplicate wakeup
-//! events before dispatch), which is why the JSON reports both an
-//! events/sec ratio and a wall-clock ratio.
+//! resched coalescing, idle-quiet timer dispatch, tickless idle) versus
+//! the reference engine (classic heap+HashSet queue, uncached scans, no
+//! coalescing, every tick simulated) on representative workloads. Both
+//! engines produce bit-identical *report metrics* — see
+//! `tests/determinism.rs`; this binary re-asserts the per-mechanism
+//! counters match on every arm — so this measures pure host-side speed.
+//! The engines' internal processed-event counts may legitimately differ:
+//! resched coalescing retires duplicate wakeup events before dispatch, and
+//! tickless idle settles idle cores' ticks without popping them (on the
+//! 512-core arm, ~78k optimized events stand for the reference's ~1.59M).
+//! An engine's own event count therefore does not measure work done. The
+//! gated throughput, `optimized_events_per_sec`, is the *reference*
+//! engine's event count (the work, popped one event at a time) per
+//! optimized wall second, and the gated speedup is the wall-clock ratio.
+//! `events_per_sec_speedup_milli` (each engine's own events per second)
+//! is still reported, ungated.
 //!
 //! Writes `BENCH_sim_throughput.json` at the repo root and prints a
 //! table. Usage: `sim_throughput [--reps N] [--jobs N]
@@ -31,15 +38,15 @@
 //! always fresh.
 //!
 //! With `--check` the committed baseline is left untouched: the process
-//! exits non-zero if any arm's fresh optimized events/sec falls below
-//! 0.9x its committed `optimized_events_per_sec_floor`, if any arm with
-//! a committed speedup floor of at least 1.2x sees its fresh
-//! engine-vs-engine speedup fall below 0.9x its committed
-//! `events_per_sec_speedup_milli_floor` (the host-independent ratio;
-//! near-1x arms are exempt — their ratio is wall-noise), or if the
-//! tick-dominated-at-scale arm misses the absolute 3x speedup floor.
-//! Legacy un-suffixed field names are accepted for baselines committed
-//! before the floor/current split.
+//! exits non-zero if any arm's fresh `optimized_events_per_sec` falls
+//! below 0.9x its committed `optimized_events_per_sec_floor`, if any arm
+//! with a committed wall-clock speedup floor of at least 1.2x sees its
+//! fresh engine-vs-engine wall-clock speedup fall below 0.9x its
+//! committed `wall_clock_speedup_milli_floor` (the host-independent
+//! ratio; near-1x arms are exempt — their ratio is wall-noise), or if
+//! the tick-dominated-at-scale arm misses the absolute 8x wall-clock
+//! speedup floor. Legacy un-suffixed field names are accepted for
+//! baselines committed before the floor/current split.
 
 use std::time::Instant;
 
@@ -54,16 +61,16 @@ use oversub::{
     run_counted, run_phase_profiled, sweep, MachineSpec, Mechanisms, PhaseProfile, RunConfig,
 };
 
-/// The arm whose events/sec speedup carries an absolute floor in
-/// `--check` mode. The tick-dominated-at-scale arm is where the
-/// data-oriented core's O(active) dispatch and cadence lanes must show:
-/// the reference engine's per-tick cost grows with machine size while
-/// the optimized engine's stays flat.
+/// The arm whose wall-clock speedup carries an absolute floor in
+/// `--check` mode. The tick-dominated-at-scale arm is where tickless
+/// idle must show: the reference engine pops every idle core's tick,
+/// while the optimized engine settles them in closed form.
 const GATED_ARM: &str = "skeleton/streamcluster/8T/512c";
 
-/// Absolute events/sec speedup floor for [`GATED_ARM`], in milli-units
-/// (3000 = 3.0x). Measured headroom is ~3.6-4.8x on an idle host.
-const SPEEDUP_FLOOR_MILLI: u64 = 3000;
+/// Absolute wall-clock speedup floor for [`GATED_ARM`], in milli-units
+/// (8000 = 8.0x). Tickless idle measured 13.3-16.4x on a shared 2-vCPU
+/// host.
+const SPEEDUP_FLOOR_MILLI: u64 = 8000;
 
 /// The relative speedup-regression gate only applies to arms whose
 /// *committed* ratio is at least this (1200 = 1.2x). Near-1x arms
@@ -128,13 +135,13 @@ fn arms() -> Vec<Arm> {
     });
 
     // Tick-dominated at scale: the same 8 threads on a 512-CPU machine.
-    // Nearly every event is an idle-core BWD tick or balance pass, so the
-    // arm isolates the engine's per-tick cost. The reference engine's
-    // cost per tick *grows* with machine size (each pop is a binary-heap
-    // sift over one pending timer per core) while the optimized engine's
-    // cadence lanes and idle-quiet batching keep it O(1) — this arm is
-    // where the data-oriented core's scaling shows, and where the
-    // `--check` gate demands its 3x floor (`SPEEDUP_FLOOR_MILLI`).
+    // Nearly every reference event is an idle-core BWD tick or balance
+    // pass. The reference engine's cost per tick *grows* with machine
+    // size (each pop is a binary-heap sift over one pending timer per
+    // core), while the optimized engine lets idle cores' ticks lapse and
+    // settles them in closed form — this arm is where tickless idle
+    // shows, and where the `--check` gate demands its 8x wall-clock
+    // floor (`SPEEDUP_FLOOR_MILLI`).
     v.push(Arm {
         name: "skeleton/streamcluster/8T/512c",
         cfg: RunConfig::vanilla(512)
@@ -322,9 +329,12 @@ fn main() {
         }
         let ref_eps = eps(ref_events, ref_ns);
         let fast_eps = eps(fast_events, fast_ns);
-        // Coalescing removes events, so events/sec on the fast engine's
-        // own (smaller) count understates the win; wall-clock speedup is
-        // the honest end-to-end number. Report both, in milli-units.
+        // Coalescing and tickless idle remove events, so events/sec on
+        // the fast engine's own (smaller) count understates the win. The
+        // gated throughput counts the work done, the reference events,
+        // per optimized wall second; wall-clock speedup is the honest
+        // end-to-end ratio. Speedups are in milli-units.
+        let work_eps = eps(ref_events, fast_ns);
         let eps_x_milli = (fast_eps as u128 * 1000 / ref_eps.max(1) as u128) as u64;
         let wall_x_milli = (ref_ns as u128 * 1000 / fast_ns.max(1) as u128) as u64;
         println!(
@@ -371,11 +381,11 @@ fn main() {
             ("optimized_wall_ns", JsonValue::UInt(fast_ns as u128)),
             (
                 "optimized_events_per_sec_floor",
-                JsonValue::UInt(ratchet("optimized_events_per_sec", fast_eps) as u128),
+                JsonValue::UInt(ratchet("optimized_events_per_sec", work_eps) as u128),
             ),
             (
                 "optimized_events_per_sec_current",
-                JsonValue::UInt(fast_eps as u128),
+                JsonValue::UInt(work_eps as u128),
             ),
             (
                 "events_per_sec_speedup_milli_floor",
@@ -431,9 +441,12 @@ fn main() {
                 "best-of-reps wall time; speedups in milli-units (1300 = 1.3x); \
              report metrics are bit-identical across engines (tests/determinism.rs, \
              re-asserted per arm here) while processed-event counts may differ \
-             (resched coalescing, optimized <= reference); phase_breakdown is one \
-             instrumented untimed run per engine; gate fields (*_floor) ratchet \
-             to the per-arm minimum across regenerations unless --baseline-reset, \
+             (resched coalescing, tickless idle; optimized <= reference); \
+             optimized_events_per_sec counts reference events (work done) per \
+             optimized wall second; the gates read it and \
+             wall_clock_speedup_milli; phase_breakdown is one instrumented \
+             untimed run per engine; gate fields (*_floor) ratchet to the \
+             per-arm minimum across regenerations unless --baseline-reset, \
              *_current is the fresh measurement"
                     .to_string(),
             ),
@@ -466,16 +479,20 @@ fn main() {
 /// Compare a fresh measurement against the committed baseline. Three
 /// gates, all of which must hold:
 ///
-/// 1. every arm's optimized events/sec stays above 0.9x the committed
-///    value (absolute regression — catches "the engine got slower");
-/// 2. every arm whose committed ratio is at least
-///    [`RATIO_GATE_MIN_MILLI`] keeps its events/sec *speedup over the
+/// 1. every arm's `optimized_events_per_sec` (reference events per
+///    optimized wall second) stays above 0.9x the committed value
+///    (absolute regression — catches "the engine got slower");
+/// 2. every arm whose committed wall-clock ratio is at least
+///    [`RATIO_GATE_MIN_MILLI`] keeps its wall-clock *speedup over the
 ///    reference engine* above 0.9x the committed ratio (relative
 ///    regression — the ratio is host-speed independent, so this catches
 ///    optimizations quietly rotting even on faster or slower CI
 ///    hardware; near-1x arms are exempt, see the constant's docs);
-/// 3. [`GATED_ARM`]'s fresh speedup clears the absolute
+/// 3. [`GATED_ARM`]'s fresh wall-clock speedup clears the absolute
 ///    [`SPEEDUP_FLOOR_MILLI`] floor.
+///
+/// Neither gate divides by the optimized engine's own event count, which
+/// tickless idle shrinks without shrinking the work.
 ///
 /// Gate fields read the `*_floor` names, falling back to the legacy
 /// un-suffixed names for baselines committed before the split; fresh
@@ -509,11 +526,11 @@ fn check_against_baseline(fresh: &JsonValue, path: &std::path::Path) -> Result<(
             .ok_or("row without 'workload'")?;
         let fresh_eps = field(row, "optimized_events_per_sec", "current")
             .ok_or("row without 'optimized_events_per_sec_current'")?;
-        let fresh_speedup = field(row, "events_per_sec_speedup_milli", "current")
-            .ok_or("row without 'events_per_sec_speedup_milli_current'")?;
+        let fresh_speedup = field(row, "wall_clock_speedup_milli", "current")
+            .ok_or("row without 'wall_clock_speedup_milli_current'")?;
         if name == GATED_ARM && fresh_speedup < SPEEDUP_FLOOR_MILLI {
             failures.push(format!(
-                "{name}: speedup {fresh_speedup} milli below the hard floor \
+                "{name}: wall speedup {fresh_speedup} milli below the hard floor \
                  {SPEEDUP_FLOOR_MILLI} milli"
             ));
         }
@@ -528,14 +545,14 @@ fn check_against_baseline(fresh: &JsonValue, path: &std::path::Path) -> Result<(
         };
         let base_eps = field(base, "optimized_events_per_sec", "floor")
             .ok_or("baseline row without 'optimized_events_per_sec_floor'")?;
-        let base_speedup = field(base, "events_per_sec_speedup_milli", "floor")
-            .ok_or("baseline row without 'events_per_sec_speedup_milli_floor'")?;
+        let base_speedup = field(base, "wall_clock_speedup_milli", "floor")
+            .ok_or("baseline row without 'wall_clock_speedup_milli_floor'")?;
         let eps_ok = (fresh_eps as u128) * 10 >= (base_eps as u128) * 9;
         let ratio_gated = base_speedup >= RATIO_GATE_MIN_MILLI;
         let speedup_ok = !ratio_gated || (fresh_speedup as u128) * 10 >= (base_speedup as u128) * 9;
         println!(
             "  {name}: fresh {fresh_eps} ev/s vs committed {base_eps} ev/s -> {}; \
-             speedup {fresh_speedup} vs committed {base_speedup} milli -> {}",
+             wall speedup {fresh_speedup} vs committed {base_speedup} milli -> {}",
             if eps_ok { "ok" } else { "REGRESSED" },
             if !ratio_gated {
                 "ungated (near-1x arm)"
@@ -552,7 +569,7 @@ fn check_against_baseline(fresh: &JsonValue, path: &std::path::Path) -> Result<(
         }
         if !speedup_ok {
             failures.push(format!(
-                "{name}: speedup {fresh_speedup} milli < 0.9x committed {base_speedup} milli"
+                "{name}: wall speedup {fresh_speedup} milli < 0.9x committed {base_speedup} milli"
             ));
         }
     }

@@ -183,7 +183,11 @@ pub struct RunConfig {
     /// Liveness watchdog; `None` disarms it entirely.
     pub watchdog: Option<WatchdogParams>,
     /// Hard cap on processed events (a step budget for chaos testing);
-    /// `None` uses the engine's built-in runaway safety valve.
+    /// `None` uses the engine's built-in runaway safety valve. The budget
+    /// counts events popped from the queue, which the optimized engine
+    /// reduces (resched coalescing drops duplicate wakeups, tickless idle
+    /// settles idle cores' ticks without popping them), so a run that
+    /// exhausts it can stop at a different point on each engine.
     pub max_events: Option<u64>,
     /// Overload control plane: per-request deadline, admission policy at
     /// the generator→worker boundary, and the client retry model. The
@@ -410,6 +414,15 @@ impl RunConfig {
         if self.mech.bwd && self.bwd().interval_ns == 0 {
             return Err("BWD is enabled with interval_ns = 0 (timer would never advance)".into());
         }
+        if self.mech.bwd && self.bwd().check_cost_ns >= self.bwd().interval_ns {
+            // Every check would run into the next tick: the checks alone
+            // would book more kernel time than the CPU has.
+            return Err(format!(
+                "BWD check_cost_ns ({}) must be below its interval_ns ({})",
+                self.bwd().check_cost_ns,
+                self.bwd().interval_ns
+            ));
+        }
         if self.sched.balance_interval_ns == 0 {
             return Err("sched.balance_interval_ns = 0 (balance ticks would never advance)".into());
         }
@@ -576,6 +589,15 @@ mod tests {
         let mut cfg = RunConfig::optimized(4);
         cfg.bwd_params.interval_ns = 0;
         assert!(cfg.validate().is_err());
+
+        // A check as long as its interval leaves no time between checks.
+        let mut cfg = RunConfig::optimized(4);
+        cfg.bwd_params.check_cost_ns = cfg.bwd_params.interval_ns;
+        assert!(cfg.validate().unwrap_err().contains("check_cost_ns"));
+        cfg.bwd_params.check_cost_ns = 250_000;
+        assert!(cfg.validate().unwrap_err().contains("check_cost_ns"));
+        cfg.bwd_params.check_cost_ns = cfg.bwd_params.interval_ns - 1;
+        assert!(cfg.validate().is_ok());
 
         let mut cfg = RunConfig::vanilla(4).with_mech(Mechanisms::ple_only());
         cfg.ple_params.window_ns = 0;

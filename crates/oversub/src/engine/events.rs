@@ -2,7 +2,7 @@
 //! segment completion, slice expiry, wakeup preemption, load balancing,
 //! I/O completion, and CPU elasticity.
 
-use super::{Cont, Engine, Event, RunKind, SegEventKind};
+use super::{Cont, Engine, Event, RunKind, SegEventKind, Tickless};
 use crate::trace::TraceKind;
 use oversub_hw::CpuId;
 use oversub_simcore::SimTime;
@@ -16,6 +16,10 @@ impl Engine {
     /// Attribute the span since the CPU's cursor up to `to`, according to
     /// what is running there. Feeds the LBR/PMC window.
     pub(crate) fn account_progress(&mut self, cpu: usize, to: SimTime) {
+        debug_assert!(
+            self.no_dormant_tick_due(cpu),
+            "cpu {cpu}: unsettled idle ticks"
+        );
         let cur = self.sched.cpus[cpu].accounted_until;
         if to <= cur {
             return;
@@ -63,27 +67,12 @@ impl Engine {
         self.sched.cpus[cpu].accounted_until = to;
     }
 
-    /// Fused accounting for an idle-quiet timer tick:
-    /// `account_progress(cpu, now)` on a CPU with no current task (the
-    /// elapsed span is pure idle time) followed by
-    /// `charge_kernel(cpu, charge)`, with a single cursor read-modify-
-    /// write. Callers must hold `!sched.is_active(cpu)`, which is
-    /// `current.is_none()` by construction — the idle branch of
-    /// `account_progress` is then the only reachable one, so this is
-    /// bit-identical to the two calls it replaces.
-    pub(crate) fn account_idle_tick(&mut self, cpu: usize, now: SimTime, charge: u64) {
-        let c = &mut self.sched.cpus[cpu];
-        let mut cur = c.accounted_until;
-        if now > cur {
-            c.time.idle_ns += now - cur;
-            cur = now;
-        }
-        c.time.kernel_ns += charge;
-        c.accounted_until = cur + charge;
-    }
-
     /// Charge kernel time starting at the cursor.
     pub(crate) fn charge_kernel(&mut self, cpu: usize, span: u64) {
+        debug_assert!(
+            self.no_dormant_tick_due(cpu),
+            "cpu {cpu}: unsettled idle ticks"
+        );
         self.sched.cpus[cpu].time.kernel_ns += span;
         let cur = self.sched.cpus[cpu].accounted_until;
         self.sched.cpus[cpu].accounted_until = cur + span;
@@ -103,6 +92,77 @@ impl Engine {
     }
 
     // ---------------------------------------------------------------
+    // Tickless idle
+    // ---------------------------------------------------------------
+
+    /// Ticks of a lapsed timer that fire before the returned time are
+    /// due by the event being handled.
+    ///
+    /// Under auto-rotation the tick at `T` draws its sequence number
+    /// when the tick at `T − I` pops. So an event due at the same `now`
+    /// as a tick pops before that tick if and only if it was scheduled
+    /// at or before `now − I`. The one case this cannot decide is an
+    /// event scheduled at exactly `now − I`; it is placed before the tick
+    /// (DESIGN.md §14.4).
+    pub(crate) fn tick_horizon(&self, tl: Tickless) -> SimTime {
+        if self.queue.popped_scheduled_at() + tl.interval_ns > self.now {
+            self.now + 1
+        } else {
+            self.now
+        }
+    }
+
+    /// Settle every skipped tick of `cpu` that is due by the event being
+    /// handled. Call before touching an idle CPU's cursor.
+    pub(crate) fn settle_idle_ticks(&mut self, cpu: usize) {
+        if let Some(tl) = self.tickless {
+            let horizon = self.tick_horizon(tl);
+            self.settle_idle_ticks_before(cpu, horizon);
+        }
+    }
+
+    /// Account, in closed form, the skipped ticks of `cpu` that fire
+    /// before `horizon`; the first later one stays pending.
+    pub(crate) fn settle_idle_ticks_before(&mut self, cpu: usize, horizon: SimTime) {
+        let Some(tl) = self.tickless else { return };
+        let first = self.dormant_at[cpu];
+        if first >= horizon {
+            return;
+        }
+        let n = (horizon - first - 1) / tl.interval_ns + 1;
+        self.sched.cpus[cpu].account_idle_ticks(first, n, tl.interval_ns, tl.charge_ns);
+        self.pending_idle_checks[tl.mech] += n;
+        self.dormant_at[cpu] = first + n * tl.interval_ns;
+    }
+
+    /// Re-arm `cpu`'s lapsed timer at its next cadence point `T*`, keyed
+    /// as though the tick at `T* − I` had drawn it, like the ticking
+    /// timer. Re-arms go on the heap: through the wheel they would leave
+    /// capacity behind in its buckets (DESIGN.md §14.4). Call once the
+    /// skipped ticks are settled.
+    pub(crate) fn rearm_lapsed_tick(&mut self, cpu: usize) {
+        let Some(tl) = self.tickless else { return };
+        let next = std::mem::replace(&mut self.dormant_at[cpu], SimTime::NEVER);
+        if next == SimTime::NEVER {
+            return;
+        }
+        debug_assert!(
+            next >= self.tick_horizon(tl),
+            "cpu {cpu}: re-arm before settling"
+        );
+        let drawn_at = SimTime::from_nanos(next.as_nanos() - tl.interval_ns);
+        self.queue
+            .schedule_backdated(next, drawn_at, Event::MechTimer(tl.mech, cpu));
+    }
+
+    /// True unless `cpu` has a skipped tick due by the event being
+    /// handled: its cursor may be touched.
+    fn no_dormant_tick_due(&self, cpu: usize) -> bool {
+        self.tickless
+            .is_none_or(|tl| self.dormant_at[cpu] >= self.tick_horizon(tl))
+    }
+
+    // ---------------------------------------------------------------
     // CPU scheduling events
     // ---------------------------------------------------------------
 
@@ -110,6 +170,7 @@ impl Engine {
         if self.sched.cpus[cpu].current.is_some() {
             return; // already busy; preemption is a separate path
         }
+        self.settle_idle_ticks(cpu);
         self.account_progress(cpu, self.now);
         if !self.sched.online[cpu] {
             return;
@@ -144,6 +205,9 @@ impl Engine {
                     }
                     let switched = self.sched.cpus[cpu].last_ran != Some(tid);
                     let cost = self.sched.start(&mut self.tasks, CpuId(cpu), tid, t);
+                    // Drawn before this handler's other schedule calls,
+                    // as the ticking timer's re-arm would have been.
+                    self.rearm_lapsed_tick(cpu);
                     self.stint_epoch[cpu] += 1;
                     self.charge_kernel(cpu, cost);
                     if switched {
@@ -305,6 +369,7 @@ impl Engine {
         // Balance runs in softirq context; only charge when idle to keep
         // the running task's segment timing intact (cost is small).
         if self.sched.cpus[cpu].current.is_none() {
+            self.settle_idle_ticks(cpu);
             self.account_progress(cpu, self.now);
             self.charge_kernel(cpu, cost);
         } else {
@@ -343,8 +408,12 @@ impl Engine {
         if !self.mechs.is_empty() {
             self.mechs.on_elastic_change(cores);
         }
-        // Drain newly-offline CPUs.
+        // Drain newly-offline CPUs. A lapsed timer there is re-armed: an
+        // offline CPU's ticks are no-ops, which closed-form settling
+        // would not know.
         for c in cores..ncpu {
+            self.settle_idle_ticks(c);
+            self.rearm_lapsed_tick(c);
             self.account_progress(c, self.now);
             if let Some(tid) = self.sched.cpus[c].current {
                 self.save_partial_progress(c, tid);

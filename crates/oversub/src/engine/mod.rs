@@ -30,6 +30,12 @@
 //! every nanosecond between events is attributed to exactly one bucket
 //! (useful / spin / kernel / idle) and, for monitored kinds, fed into the
 //! core's LBR/PMC window so BWD sees exactly what ran.
+//!
+//! Tickless idle: in runs where an idle core's monitoring tick is a
+//! constant (see [`Tickless`]), a tick that finds its core idle lets the
+//! core's timer lapse. The skipped ticks are settled in closed form the
+//! next time anything touches that core's cursor, and the timer is
+//! re-armed when a task starts there (DESIGN.md §14.4).
 
 mod blocking;
 mod diag;
@@ -206,6 +212,25 @@ const MAX_EVENTS: u64 = 400_000_000;
 /// Default cap when a workload neither exits nor sets `max_time`.
 const DEFAULT_CAP: SimTime = SimTime(600 * oversub_simcore::SECS);
 
+/// The monitoring tick that tickless idle lets lapse on idle cores.
+///
+/// Armed only where an idle, quiet core's tick is a pure constant: the
+/// optimized engine, no faults, no tie-break salt, and exactly one
+/// mechanism with a timer, whose
+/// [`Mechanism::idle_quiet_constant`](crate::mechanism::Mechanism::idle_quiet_constant)
+/// is `Some(charge)` with `charge <= interval`. On such a core nothing
+/// the tick reads can change until a task starts there, so every
+/// skipped tick would have taken the same constant path.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Tickless {
+    /// Index of the timer mechanism.
+    pub mech: usize,
+    /// Its tick interval.
+    pub interval_ns: u64,
+    /// Its constant idle-quiet charge.
+    pub charge_ns: u64,
+}
+
 pub(crate) struct Engine {
     pub cfg: RunConfig,
     pub sched: oversub_sched::Scheduler,
@@ -234,12 +259,13 @@ pub(crate) struct Engine {
     /// Per-CPU pending spin exit, if a mechanism armed one:
     /// `(exit time, index of the owning mechanism)`.
     pub spin_exit_at: Vec<Option<(SimTime, usize)>>,
-    /// `(timestamp, queue seq mark)` of the most recently scheduled
-    /// `Event::Resched(cpu)` per CPU. A duplicate request is coalesced
-    /// into it only when both match — the mark proves no other event was
-    /// scheduled in between, so the duplicate would pop immediately after
-    /// its twin with identical state (see `sched_resched`).
-    pub resched_pending: Vec<Option<(SimTime, u64)>>,
+    /// `(timestamp, sim time of the request, queue seq mark)` of the most
+    /// recently scheduled `Event::Resched(cpu)` per CPU. A duplicate
+    /// request is coalesced into it only when all three match — together
+    /// they prove no other event can pop in between, so the duplicate
+    /// would pop immediately after its twin with identical state (see
+    /// `sched_resched`).
+    pub resched_pending: Vec<Option<(SimTime, SimTime, u64)>>,
     /// Reference mode: classic queue, uncached picks, no coalescing.
     pub reference: bool,
     /// Per-mechanism timer interval, cached at construction so the
@@ -255,6 +281,12 @@ pub(crate) struct Engine {
     /// mechanism and flushed into the mechanism's check counter before
     /// counters are read (the increments commute, so deferral is exact).
     pending_idle_checks: Vec<u64>,
+    /// The tick tickless idle may let lapse; `None` keeps every timer
+    /// ticking.
+    pub tickless: Option<Tickless>,
+    /// Per CPU: the fire time of the first tick skipped since its timer
+    /// lapsed and not yet settled, or `SimTime::NEVER` while it ticks.
+    pub dormant_at: Vec<SimTime>,
     /// `OVERSUB_TRACE` progress logging (read once at construction; env
     /// lookups are too slow for the per-event hot loop).
     trace_progress: bool,
@@ -422,6 +454,18 @@ impl Engine {
             .map(|i| mechs.idle_quiet_constant(i))
             .collect();
         let pending_idle_checks = vec![0u64; mechs.len()];
+        let tickless = match mechs.timers().as_slice() {
+            &[(mech, interval_ns)] if !reference && faults.is_none() && cfg.schedule_salt == 0 => {
+                idle_quiet_charge[mech]
+                    .filter(|&charge_ns| charge_ns <= interval_ns)
+                    .map(|charge_ns| Tickless {
+                        mech,
+                        interval_ns,
+                        charge_ns,
+                    })
+            }
+            _ => None,
+        };
         let mut eng = Engine {
             mechs,
             sched,
@@ -438,6 +482,8 @@ impl Engine {
             timer_intervals,
             idle_quiet_charge,
             pending_idle_checks,
+            tickless,
+            dormant_at: vec![SimTime::NEVER; ncpu],
             trace_progress: std::env::var_os("OVERSUB_TRACE").is_some(),
             check_rqs: std::env::var_os("OVERSUB_CHECK").is_some(),
             trace_cpu: std::env::var("OVERSUB_TRACE_CPU")
@@ -546,6 +592,10 @@ impl Engine {
         // Keep the accumulators out of `self` during the loop so the
         // instrumented arms can time `dispatch(&mut self)` calls.
         let mut prof = self.phase_prof.take();
+        // Ticks at or after this horizon never fire: a max-time stop
+        // pops nothing at `end_cap`; any other stop ends with the event
+        // just popped.
+        let mut stop_horizon = None;
         loop {
             let popped = match prof.as_deref_mut() {
                 None => self.queue.pop(),
@@ -559,6 +609,7 @@ impl Engine {
             let Some((t, ev)) = popped else { break };
             if t >= self.end_cap {
                 self.now = self.end_cap;
+                stop_horizon = Some(self.end_cap);
                 break;
             }
             debug_assert!(t >= self.now, "time went backwards: {t} < {}", self.now);
@@ -603,6 +654,13 @@ impl Engine {
                 break;
             }
         }
+        if let Some(tl) = self.tickless {
+            let horizon = stop_horizon.unwrap_or_else(|| self.tick_horizon(tl));
+            for cpu in 0..self.dormant_at.len() {
+                self.settle_idle_ticks_before(cpu, horizon);
+                self.dormant_at[cpu] = SimTime::NEVER;
+            }
+        }
         let makespan = if self.live == 0 {
             self.last_exit
         } else {
@@ -625,11 +683,13 @@ impl Engine {
 
     /// Request an `Event::Resched(cpu)` at `at`, coalescing adjacent
     /// duplicates. A duplicate is suppressed only when a `Resched(cpu)`
-    /// was already scheduled for the *same timestamp* and the queue's
-    /// sequence mark has not moved since — i.e. no event of any kind was
-    /// scheduled in between. Events pop in `(time, seq)` order, so an
-    /// unmoved mark proves the twin would pop immediately after the
-    /// covering event with no intervening handler: if the covering
+    /// was already scheduled for the *same timestamp*, at the same sim
+    /// time, and the queue's sequence mark has not moved since — i.e. no
+    /// event of any kind was scheduled in between. Events pop in
+    /// `(time, scheduled_at, seq)` order, so the twin would share the
+    /// covering event's first two key components and take the next seq:
+    /// nothing, not even a back-dated timer re-arm, can pop between them,
+    /// and no handler runs between the two. If the covering
     /// resched started a task the twin sees a busy CPU and returns; if it
     /// found nothing, the twin re-runs `pick_next` on bit-identical state
     /// (skip-flag expiry is idempotent within a pick round, a failed
@@ -645,11 +705,11 @@ impl Engine {
             self.queue.schedule_nocancel(at, Event::Resched(cpu));
             return;
         }
-        if self.resched_pending[cpu] == Some((at, self.queue.seq_mark())) {
+        if self.resched_pending[cpu] == Some((at, self.now, self.queue.seq_mark())) {
             return;
         }
         self.queue.schedule_nocancel(at, Event::Resched(cpu));
-        self.resched_pending[cpu] = Some((at, self.queue.seq_mark()));
+        self.resched_pending[cpu] = Some((at, self.now, self.queue.seq_mark()));
     }
 
     fn dispatch(&mut self, ev: Event) {

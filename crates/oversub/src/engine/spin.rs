@@ -19,13 +19,40 @@ impl Engine {
         let Some(interval_ns) = self.timer_intervals[idx] else {
             return;
         };
+        // Idle-quiet: on an oversized machine most ticks land on online
+        // cores with nothing running and an untouched monitoring window,
+        // where the full dispatch below reduces to "record one empty
+        // check, charge the check cost". Mechanisms opt into handling
+        // that case without a `TimerCtx`
+        // (`MechanismSet::dispatch_timer_batch`), so full dispatches
+        // scale with the scheduler's active-core bitset, not with
+        // machine size. Residual windows (a descheduled task's traces),
+        // armed faults, and the reference engine all take the full path.
+        let idle_quiet = !self.reference
+            && self.faults.is_none()
+            && self.sched.online[cpu]
+            && !self.sched.is_active(CpuId(cpu))
+            && self.sched.cpus[cpu].hw.window_untouched();
+        let rotated = self.queue.last_pop_rotated();
+        // Tickless idle: until a task starts here, every later tick would
+        // take this same constant path. So the timer lapses instead of
+        // re-arming (a rotation the queue already made is taken back),
+        // and the skipped ticks are settled when the CPU is next touched.
+        if let Some(tl) = self.tickless {
+            if idle_quiet && (!rotated || self.queue.undo_rotation()) {
+                self.pending_idle_checks[idx] += 1;
+                self.sched.cpus[cpu].account_idle_ticks(self.now, 1, interval_ns, tl.charge_ns);
+                self.dormant_at[cpu] = self.now + interval_ns;
+                return;
+            }
+        }
         // Re-arm first so detection handling cannot drop the timer. An
         // injected drop still re-arms (the interrupt is lost, not the
         // timer); injected jitter perturbs the re-arm point. Under
         // auto-cadence (fault-free optimized runs) the queue already
         // rotated this timer one interval ahead during the pop — the
         // re-arm below would compute the identical `(time, seq)` key.
-        if !self.queue.last_pop_rotated() {
+        if !rotated {
             let mut rearm_at = self.now + interval_ns;
             let mut dropped = false;
             if let Some(f) = self.faults.as_mut() {
@@ -43,29 +70,16 @@ impl Engine {
         if !self.sched.online[cpu] {
             return;
         }
-        // Idle-quiet fast path: on an oversized machine most ticks land
-        // on cores with nothing running and an untouched monitoring
-        // window, where the full dispatch below reduces to "record one
-        // empty check, charge the check cost". Mechanisms opt into
-        // handling that case without a `TimerCtx`
-        // (`MechanismSet::dispatch_timer_batch`), so full dispatches
-        // scale with the scheduler's active-core bitset, not with
-        // machine size. Residual windows (a descheduled task's traces),
-        // armed faults, and the reference engine all take the full path.
-        if !self.reference
-            && self.faults.is_none()
-            && !self.sched.is_active(CpuId(cpu))
-            && self.sched.cpus[cpu].hw.window_untouched()
-        {
+        if idle_quiet {
             // Constant sub-case: the tick is a fixed charge plus one
             // deferred check — no mechanism call at all.
             if let Some(charge) = self.idle_quiet_charge[idx] {
                 self.pending_idle_checks[idx] += 1;
-                self.account_idle_tick(cpu, self.now, charge);
+                self.sched.cpus[cpu].account_idle_ticks(self.now, 1, interval_ns, charge);
                 return;
             }
             if let Some(charge) = self.mechs.dispatch_timer_batch(idx, cpu) {
-                self.account_idle_tick(cpu, self.now, charge);
+                self.sched.cpus[cpu].account_idle_ticks(self.now, 1, interval_ns, charge);
                 return;
             }
         }

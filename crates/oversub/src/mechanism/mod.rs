@@ -150,6 +150,13 @@ pub trait Mechanism {
     /// Must return `None` whenever per-tick state advances (e.g. BWD's
     /// adaptive-backoff stride counters). Queried once at engine
     /// construction, after [`Mechanism::configure`].
+    ///
+    /// A constant idle tick also lets the engine skip such ticks
+    /// entirely (tickless idle): when this is the pipeline's only timer
+    /// mechanism and `charge_ns` is at most its interval, an idle-quiet
+    /// tick lets the core's timer lapse until a task starts there, and
+    /// the skipped ticks are credited in closed form — the same kernel
+    /// charge and deferred check per tick, without popping them.
     fn idle_quiet_constant(&self) -> Option<u64> {
         None
     }

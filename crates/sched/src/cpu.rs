@@ -103,6 +103,35 @@ impl CpuState {
         self.time.idle_ns += span;
         self.accounted_until = now;
     }
+
+    /// Account `n` periodic timer ticks on this idle CPU, fired at
+    /// `first`, `first + interval_ns`, … Each tick, taken alone, books
+    /// the idle span up to its fire time and then charges `charge_ns` of
+    /// kernel time from the cursor. This is the closed form of applying
+    /// them one at a time, in O(1).
+    ///
+    /// With `charge_ns <= interval_ns` each charge ends by the next fire
+    /// time, so from a cursor `c0` the ticks leave it at
+    /// `max(c0 + n·charge, last + charge)`, where `last` is the final
+    /// fire time. Kernel time grows by `n·charge` and idle time by the
+    /// rest of the cursor's advance. A single tick (`n == 1`) needs no
+    /// bound on its charge.
+    pub fn account_idle_ticks(&mut self, first: SimTime, n: u64, interval_ns: u64, charge_ns: u64) {
+        if n == 0 {
+            return;
+        }
+        debug_assert!(
+            n == 1 || charge_ns <= interval_ns,
+            "tick charge {charge_ns} ns exceeds its {interval_ns} ns interval"
+        );
+        let c0 = self.accounted_until.as_nanos();
+        let charged = n * charge_ns;
+        let last = first.as_nanos() + (n - 1) * interval_ns;
+        let cursor = (c0 + charged).max(last + charge_ns);
+        self.time.kernel_ns += charged;
+        self.time.idle_ns += cursor - c0 - charged;
+        self.accounted_until = SimTime::from_nanos(cursor);
+    }
 }
 
 #[cfg(test)]
@@ -128,6 +157,79 @@ mod tests {
         };
         assert_eq!(s.total_ns(), 20);
         assert_eq!(s.busy_ns(), 18);
+    }
+
+    /// The engine's one-tick-at-a-time idle accounting: book idle time
+    /// up to the fire time, then charge kernel time from the cursor.
+    fn tick_by_tick(c: &mut CpuState, first: u64, n: u64, interval: u64, charge: u64) {
+        for j in 0..n {
+            let t = SimTime::from_nanos(first + j * interval);
+            c.account_idle(t.max_of(c.accounted_until));
+            c.time.kernel_ns += charge;
+            c.accounted_until += charge;
+        }
+    }
+
+    fn cpu_at(cursor: u64) -> CpuState {
+        let mut c = CpuState::new(KernelLockParams::default());
+        c.account_idle(SimTime::from_nanos(cursor));
+        c
+    }
+
+    fn snapshot(c: &CpuState) -> (u64, u64, SimTime) {
+        (c.time.idle_ns, c.time.kernel_ns, c.accounted_until)
+    }
+
+    proptest::proptest! {
+        /// The closed form equals `n` ticks applied one at a time, from
+        /// a cursor before, inside or after the first tick's charge, for
+        /// charges from zero up to the whole interval.
+        #[test]
+        fn idle_ticks_closed_form_matches_tick_by_tick(
+            interval in 1u64..200_000,
+            charge_frac in 0u64..1_001,
+            first in 0u64..1_000_000,
+            cursor_off in 0u64..3_000_000,
+            n in 0u64..10_000,
+        ) {
+            let charge = interval * charge_frac / 1_000;
+            // Cursor offsets span well before the first tick to several
+            // intervals past it.
+            let cursor = (first + cursor_off).saturating_sub(1_000_000);
+            let mut want = cpu_at(cursor);
+            tick_by_tick(&mut want, first, n, interval, charge);
+            let mut got = cpu_at(cursor);
+            got.account_idle_ticks(SimTime::from_nanos(first), n, interval, charge);
+            proptest::prop_assert_eq!(snapshot(&got), snapshot(&want));
+        }
+    }
+
+    #[test]
+    fn idle_ticks_closed_form_edge_cases() {
+        // (cursor, first, n, interval, charge): cursor before, inside and
+        // after the first tick's charge; k = 0; k = I; n = 10^4.
+        let cases = [
+            (0, 500, 3, 100, 25),
+            (510, 500, 3, 100, 25),
+            (525, 500, 3, 100, 25),
+            (900, 500, 3, 100, 25),
+            (100, 500, 4, 100, 0),
+            (100, 500, 4, 100, 100),
+            (650, 500, 4, 100, 100),
+            (7_919, 107_919, 10_000, 100_000, 250),
+            (5_000_000_000, 107_919, 10_000, 100_000, 100_000),
+        ];
+        for (cursor, first, n, interval, charge) in cases {
+            let mut want = cpu_at(cursor);
+            tick_by_tick(&mut want, first, n, interval, charge);
+            let mut got = cpu_at(cursor);
+            got.account_idle_ticks(SimTime::from_nanos(first), n, interval, charge);
+            assert_eq!(
+                snapshot(&got),
+                snapshot(&want),
+                "cursor {cursor}, first {first}, n {n}, I {interval}, k {charge}"
+            );
+        }
     }
 
     #[test]

@@ -4,6 +4,16 @@
 //! order (a monotonically increasing sequence number), which keeps the
 //! simulation fully deterministic without requiring payloads to be `Ord`.
 //!
+//! The fast queue's full key is `(time, scheduled_at, seq)`, where
+//! `scheduled_at` is the sim time of the pop during which the event was
+//! scheduled. Sim time never runs backwards, so for every ordinary
+//! schedule call `scheduled_at` rises with `seq` and the key orders
+//! exactly like `(time, seq)`. The extra component exists for
+//! [`EventQueue::schedule_backdated`]: an event placed as though it had
+//! been scheduled at an earlier sim time, which is how the engine re-arms
+//! a timer it let lapse (tickless idle) where the ticking timer would
+//! have stood.
+//!
 //! Two implementations live behind [`EventQueue`]:
 //!
 //! - The default **fast** queue: a binary heap for irregular events with
@@ -56,6 +66,10 @@ impl EventHandle {
 /// (periodic events that overflowed the wheel horizon).
 const NO_SLOT: u32 = u32::MAX;
 
+/// Pop-order key of a fast-queue entry: `(time, scheduled_at, seq)` (see
+/// the module docs).
+type Key = (SimTime, SimTime, u64);
+
 /// Tie-break key for a sequence number under a permutation salt.
 ///
 /// Salt `0` is the identity: ties break in insertion order, the pinned
@@ -87,19 +101,32 @@ fn mix_ord(seq: u64, salt: u64) -> u64 {
 
 struct HeapEntry<E> {
     time: SimTime,
-    seq: u64,
+    /// Sim time the entry was scheduled at (the queue's clock, or the
+    /// explicit back-date of [`EventQueue::schedule_backdated`]); zero on
+    /// the classic queue.
+    sched_at: SimTime,
     /// Tie-break key: `(burst at insert, mix_ord(seq, salt))`. Unsalted
     /// this is `(burst, seq)`, lexicographically the same order as raw
     /// `seq` (bursts are monotone in insertion order), so salt `0` is
-    /// bit-for-bit the pinned behavior.
+    /// bit-for-bit the pinned behavior. The entry keeps no other copy of
+    /// its sequence number, which holds the engine's entries to 64 bytes.
     ord: (u64, u64),
     slot: u32,
     payload: E,
 }
 
+impl<E> HeapEntry<E> {
+    /// Cross-source pop key. `ord.1` is the raw sequence number on an
+    /// unsalted queue; a salted queue keeps every entry in its heap, so
+    /// its key is never compared with another source's.
+    fn key(&self) -> Key {
+        (self.time, self.sched_at, self.ord.1)
+    }
+}
+
 impl<E> PartialEq for HeapEntry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.ord == other.ord
+        self.time == other.time && self.sched_at == other.sched_at && self.ord == other.ord
     }
 }
 impl<E> Eq for HeapEntry<E> {}
@@ -110,11 +137,16 @@ impl<E> PartialOrd for HeapEntry<E> {
 }
 impl<E> Ord for HeapEntry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, ord)
-        // pops first.
-        other
-            .time
-            .cmp(&self.time)
+        // BinaryHeap is a max-heap; invert so the earliest
+        // (time, sched_at, ord) pops first. `sched_at` is non-decreasing
+        // in burst and in seq for ordinary entries, so it only reorders
+        // back-dated ones. `(time, sched_at)` compares as one 128-bit
+        // word: measured faster in the sift loops than chaining a third
+        // `then_with`.
+        let primary =
+            |e: &Self| ((e.time.as_nanos() as u128) << 64) | e.sched_at.as_nanos() as u128;
+        primary(other)
+            .cmp(&primary(self))
             .then_with(|| other.ord.cmp(&self.ord))
     }
 }
@@ -134,8 +166,15 @@ struct Slot {
 
 struct WheelEntry<E> {
     time: SimTime,
+    sched_at: SimTime,
     seq: u64,
     payload: E,
+}
+
+impl<E> WheelEntry<E> {
+    fn key(&self) -> Key {
+        (self.time, self.sched_at, self.seq)
+    }
 }
 
 /// Bucketed timer wheel for strictly periodic events. Entries are binned
@@ -161,7 +200,7 @@ struct Wheel<E> {
     /// Next tick index to drain. The drained tick's events live in
     /// `current`.
     cur_tick: u64,
-    /// Events of already-drained ticks, sorted descending by `(time, seq)`.
+    /// Events of already-drained ticks, sorted descending by key.
     current: Vec<WheelEntry<E>>,
     len: usize,
 }
@@ -184,9 +223,10 @@ impl<E> Wheel<E> {
     /// Insert if the event fits the horizon; on overflow the payload is
     /// handed back so the caller can fall back to the heap.
     ///
-    /// Buckets are kept sorted descending by `(time, seq)` at insert time,
-    /// so draining a bucket is a plain `mem::take` with no sort.
-    fn insert(&mut self, time: SimTime, seq: u64, payload: E) -> Result<(), E> {
+    /// Buckets are kept sorted descending by key at insert time, so
+    /// draining a bucket is a plain `mem::take` with no sort.
+    fn insert(&mut self, e: WheelEntry<E>) -> Result<(), E> {
+        let time = e.time;
         if self.len == 0 {
             // Empty wheel: re-anchor the cursor at the new event's tick so
             // the horizon always starts "now". (All buckets are empty, so
@@ -198,18 +238,18 @@ impl<E> Wheel<E> {
         if t < self.cur_tick {
             // A tick that was already drained (scheduling into the past of
             // the cursor): merge into the sorted run.
-            let key = (time, seq);
-            let idx = self.current.partition_point(|e| (e.time, e.seq) > key);
-            self.current.insert(idx, WheelEntry { time, seq, payload });
+            let key = e.key();
+            let idx = self.current.partition_point(|x| x.key() > key);
+            self.current.insert(idx, e);
         } else if t - self.cur_tick < WHEEL_BUCKETS as u64 {
             let b = (t % WHEEL_BUCKETS as u64) as usize;
-            let key = (time, seq);
+            let key = e.key();
             let bucket = &mut self.buckets[b];
-            let idx = bucket.partition_point(|e| (e.time, e.seq) > key);
-            bucket.insert(idx, WheelEntry { time, seq, payload });
+            let idx = bucket.partition_point(|x| x.key() > key);
+            bucket.insert(idx, e);
             self.occ[b >> 6] |= 1u64 << (b & 63);
         } else {
-            return Err(payload);
+            return Err(e.payload);
         }
         self.len += 1;
         Ok(())
@@ -239,11 +279,11 @@ impl<E> Wheel<E> {
         None
     }
 
-    /// `(time, seq)` of the earliest wheel event, jumping the cursor
-    /// straight to the next occupied bucket.
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+    /// Key of the earliest wheel event, jumping the cursor straight to
+    /// the next occupied bucket.
+    fn peek_key(&mut self) -> Option<Key> {
         if let Some(e) = self.current.last() {
-            return Some((e.time, e.seq));
+            return Some(e.key());
         }
         if self.len == 0 {
             return None;
@@ -258,25 +298,25 @@ impl<E> Wheel<E> {
         self.occ[b >> 6] &= !(1u64 << (b & 63));
         self.cur_tick += d as u64 + 1;
         debug_assert!(!self.current.is_empty(), "occupied bucket was empty");
-        self.current.last().map(|e| (e.time, e.seq))
+        self.current.last().map(WheelEntry::key)
     }
 
-    fn pop(&mut self) -> Option<(SimTime, E)> {
+    fn pop(&mut self) -> Option<WheelEntry<E>> {
         self.peek_key()?;
         let Some(e) = self.current.pop() else {
             debug_assert!(false, "peek_key positioned an entry");
             return None;
         };
         self.len -= 1;
-        Some((e.time, e.payload))
+        Some(e)
     }
 }
 
 /// FIFO lane for one strictly-periodic cadence (see
 /// [`EventQueue::schedule_cadenced`]). Re-arms of a fixed-interval timer
 /// arrive in fire order, and every re-arm lands one interval after its
-/// fire time, so within a single cadence the pushed `(time, seq)` keys
-/// are monotone non-decreasing: the deque *is* sorted, insert is
+/// fire time, so within a single cadence the pushed keys are monotone
+/// non-decreasing: the deque *is* sorted, insert is
 /// `push_back`, and the earliest entry is `front`. Pushes that would
 /// break monotonicity (the staggered initial arms, fault-injected timer
 /// jitter) are rejected by the caller and routed through the wheel
@@ -313,15 +353,25 @@ struct FastQueue<E> {
     /// Whether the most recent `pop` rotated its event (auto re-arm).
     /// Reset by every pop and every schedule call.
     last_pop_rotated: bool,
+    /// The lane whose back holds the most recent pop's rotated re-arm,
+    /// while nothing has been scheduled since (see
+    /// [`EventQueue::undo_rotation`]). `None` when the rotation fell back
+    /// to the wheel or heap.
+    undo_lane: Option<usize>,
+    /// Sim time of the most recent pop: the `scheduled_at` stamp of every
+    /// ordinary schedule call.
+    now: SimTime,
+    /// `scheduled_at` of the most recently popped entry.
+    popped_sched_at: SimTime,
     /// Hot-lane pop cache: the lane that won the last pop, paired with
-    /// the minimum `(time, seq)` over every *other* source (heap, wheel,
+    /// the minimum key over every *other* source (heap, wheel,
     /// remaining lanes) at that moment. While subsequent pushes land
     /// only on the hot lane — the steady state of a tick-dominated run,
     /// where each tick's re-arm goes straight back to its own lane — the
     /// other-source minimum cannot drop, so the next pop decides with a
     /// single key compare instead of a full source scan. Any push to
     /// another source clears it.
-    hot: Option<(usize, Option<(SimTime, u64)>)>,
+    hot: Option<(usize, Option<Key>)>,
     /// Tie-break permutation salt (see [`mix_ord`]). Non-zero salts also
     /// route periodic/cadenced events straight to the heap: the wheel's
     /// sorted buckets and the lanes' FIFO monotonicity argument are both
@@ -348,6 +398,9 @@ impl<E> FastQueue<E> {
             cancelled_pending: 0,
             auto_cadence: false,
             last_pop_rotated: false,
+            undo_lane: None,
+            now: SimTime::ZERO,
+            popped_sched_at: SimTime::ZERO,
             hot: None,
             salt: 0,
             burst: 0,
@@ -376,16 +429,25 @@ impl<E> FastQueue<E> {
         self.free.push(slot);
     }
 
-    fn schedule(&mut self, at: SimTime, payload: E) -> EventHandle {
+    /// Draw the next sequence number. Every schedule call goes through
+    /// here, which also ends the window in which the last pop's rotation
+    /// can be undone.
+    fn draw_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.hot = None;
         self.last_pop_rotated = false;
+        self.undo_lane = None;
+        seq
+    }
+
+    fn schedule(&mut self, at: SimTime, payload: E) -> EventHandle {
+        let seq = self.draw_seq();
+        self.hot = None;
         let slot = self.alloc_slot();
         let gen = self.slots[slot as usize].gen;
         self.heap.push(HeapEntry {
             time: at,
-            seq,
+            sched_at: self.now,
             ord: (self.burst, mix_ord(seq, self.salt)),
             slot,
             payload,
@@ -398,13 +460,27 @@ impl<E> FastQueue<E> {
     /// cancelled, so pops skip the slab entirely. This is the engine's
     /// hot path — it retires events by epoch checks, never by handle.
     fn schedule_nocancel(&mut self, at: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.draw_seq();
         self.hot = None;
-        self.last_pop_rotated = false;
         self.heap.push(HeapEntry {
             time: at,
-            seq,
+            sched_at: self.now,
+            ord: (self.burst, mix_ord(seq, self.salt)),
+            slot: NO_SLOT,
+            payload,
+        });
+        self.live += 1;
+    }
+
+    /// A never-cancelled heap entry keyed as though scheduled at sim time
+    /// `sched_at` (see [`EventQueue::schedule_backdated`]).
+    fn schedule_backdated(&mut self, at: SimTime, sched_at: SimTime, payload: E) {
+        debug_assert!(sched_at <= self.now, "back-dated into the future");
+        let seq = self.draw_seq();
+        self.hot = None;
+        self.heap.push(HeapEntry {
+            time: at,
+            sched_at,
             ord: (self.burst, mix_ord(seq, self.salt)),
             slot: NO_SLOT,
             payload,
@@ -413,14 +489,12 @@ impl<E> FastQueue<E> {
     }
 
     fn schedule_periodic(&mut self, at: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.draw_seq();
         self.hot = None;
-        self.last_pop_rotated = false;
         if self.salt != 0 {
             self.heap.push(HeapEntry {
                 time: at,
-                seq,
+                sched_at: self.now,
                 ord: (self.burst, mix_ord(seq, self.salt)),
                 slot: NO_SLOT,
                 payload,
@@ -433,13 +507,19 @@ impl<E> FastQueue<E> {
 
     fn insert_wheel_or_heap(&mut self, at: SimTime, seq: u64, payload: E) {
         debug_assert_eq!(self.salt, 0, "salted queues bypass the wheel");
-        match self.wheel.insert(at, seq, payload) {
+        let sched_at = self.now;
+        match self.wheel.insert(WheelEntry {
+            time: at,
+            sched_at,
+            seq,
+            payload,
+        }) {
             Ok(()) => {}
             // Beyond the wheel horizon: fall back to the heap, with no
             // cancellation slot (periodic events are never cancelled).
             Err(payload) => self.heap.push(HeapEntry {
                 time: at,
-                seq,
+                sched_at,
                 ord: (self.burst, seq),
                 slot: NO_SLOT,
                 payload,
@@ -452,17 +532,15 @@ impl<E> FastQueue<E> {
     /// O(1); anything else (initial staggered arms, jittered re-arms,
     /// cadence overflow) takes the wheel/heap path. Ordering is identical
     /// either way — lanes share the global sequence counter and pops
-    /// compare `(time, seq)` across all sources.
+    /// compare keys across all sources.
     fn schedule_cadenced(&mut self, at: SimTime, interval_ns: u64, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.last_pop_rotated = false;
+        let seq = self.draw_seq();
         self.live += 1;
         if self.salt != 0 {
             self.hot = None;
             self.heap.push(HeapEntry {
                 time: at,
-                seq,
+                sched_at: self.now,
                 ord: (self.burst, mix_ord(seq, self.salt)),
                 slot: NO_SLOT,
                 payload,
@@ -494,27 +572,29 @@ impl<E> FastQueue<E> {
         if self.hot.is_some_and(|(h, _)| h != lane_idx) {
             self.hot = None;
         }
+        let entry = WheelEntry {
+            time: at,
+            sched_at: self.now,
+            seq,
+            payload,
+        };
         let lane = &mut self.lanes[lane_idx];
-        if lane.q.back().is_none_or(|e| (e.time, e.seq) <= (at, seq)) {
-            lane.q.push_back(WheelEntry {
-                time: at,
-                seq,
-                payload,
-            });
+        if lane.q.back().is_none_or(|e| e.key() <= entry.key()) {
+            lane.q.push_back(entry);
         } else {
             self.hot = None;
-            self.insert_wheel_or_heap(at, seq, payload);
+            self.insert_wheel_or_heap(at, seq, entry.payload);
         }
     }
 
-    /// Index and `(time, seq)` key of the lane holding the earliest
-    /// front entry, if any lane is non-empty.
+    /// Index and key of the lane holding the earliest front entry, if
+    /// any lane is non-empty.
     #[inline]
-    fn lane_min(&self) -> Option<(usize, (SimTime, u64))> {
-        let mut best: Option<(usize, (SimTime, u64))> = None;
+    fn lane_min(&self) -> Option<(usize, Key)> {
+        let mut best: Option<(usize, Key)> = None;
         for (i, l) in self.lanes.iter().enumerate() {
             if let Some(e) = l.q.front() {
-                let k = (e.time, e.seq);
+                let k = e.key();
                 if best.is_none_or(|(_, bk)| k < bk) {
                     best = Some((i, k));
                 }
@@ -556,9 +636,9 @@ impl<E> FastQueue<E> {
         }
     }
 
-    fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+    fn peek_key(&mut self) -> Option<Key> {
         self.drain_cancelled();
-        let hk = self.heap.peek().map(|e| (e.time, e.seq));
+        let hk = self.heap.peek().map(HeapEntry::key);
         let wk = self.wheel.peek_key();
         let lk = self.lane_min().map(|(_, k)| k);
         [hk, wk, lk].into_iter().flatten().min()
@@ -575,23 +655,24 @@ impl<E> FastQueue<E> {
         // front stays below the cached minimum of every other source.
         if let Some((h, om)) = self.hot {
             if let Some(e) = self.lanes[h].q.front() {
-                if om.is_none_or(|m| (e.time, e.seq) < m) {
+                if om.is_none_or(|m| e.key() < m) {
                     return self.pop_lane(h);
                 }
             }
             self.hot = None;
         }
         self.last_pop_rotated = false;
+        self.undo_lane = None;
         self.drain_cancelled();
-        let hk = self.heap.peek().map(|e| (e.time, e.seq));
+        let hk = self.heap.peek().map(HeapEntry::key);
         let wk = self.wheel.peek_key();
         // Best lane and the runner-up minimum over the *other* lanes
         // (needed to seed the hot cache when a lane wins).
-        let mut lk: Option<(usize, (SimTime, u64))> = None;
-        let mut lane_rest: Option<(SimTime, u64)> = None;
+        let mut lk: Option<(usize, Key)> = None;
+        let mut lane_rest: Option<Key> = None;
         for (i, l) in self.lanes.iter().enumerate() {
             if let Some(e) = l.q.front() {
-                let k = (e.time, e.seq);
+                let k = e.key();
                 match lk {
                     Some((_, bk)) if k >= bk => {
                         if lane_rest.is_none_or(|r| k < r) {
@@ -609,7 +690,7 @@ impl<E> FastQueue<E> {
         }
         // Source of the minimum key: 0 = heap, 1 = wheel, 2 = best lane.
         let mut src = usize::MAX;
-        let mut best: Option<(SimTime, u64)> = None;
+        let mut best: Option<Key> = None;
         if let Some(h) = hk {
             (src, best) = (0, Some(h));
         }
@@ -635,11 +716,16 @@ impl<E> FastQueue<E> {
                 if e.slot != NO_SLOT {
                     self.release_slot(e.slot);
                 }
+                self.now = e.time;
+                self.popped_sched_at = e.sched_at;
                 Some((e.time, e.payload))
             }
             1 => {
                 self.live -= 1;
-                self.wheel.pop()
+                let e = self.wheel.pop()?;
+                self.now = e.time;
+                self.popped_sched_at = e.sched_at;
+                Some((e.time, e.payload))
             }
             _ => {
                 let (i, _) = lk?;
@@ -662,32 +748,53 @@ impl<E> FastQueue<E> {
             debug_assert!(false, "pop_lane on empty lane");
             return None;
         };
+        self.now = e.time;
+        self.popped_sched_at = e.sched_at;
         if self.auto_cadence {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let at = e.time + self.lanes[i].interval_ns;
+            let seq = self.draw_seq();
+            let rearm = WheelEntry {
+                time: e.time + self.lanes[i].interval_ns,
+                sched_at: e.time,
+                seq,
+                payload: e.payload.clone(),
+            };
             let lane = &mut self.lanes[i];
-            if lane.q.back().is_none_or(|b| (b.time, b.seq) <= (at, seq)) {
-                lane.q.push_back(WheelEntry {
-                    time: at,
-                    seq,
-                    payload: e.payload.clone(),
-                });
+            if lane.q.back().is_none_or(|b| b.key() <= rearm.key()) {
+                lane.q.push_back(rearm);
+                self.undo_lane = Some(i);
             } else {
                 // Cannot happen for a shared strict cadence (the popped
                 // front plus one interval is at or past every pending
                 // entry), but fall back safely rather than assume it.
                 self.hot = None;
-                let p = e.payload.clone();
-                self.insert_wheel_or_heap(at, seq, p);
+                self.insert_wheel_or_heap(rearm.time, seq, rearm.payload);
             }
             // live is unchanged: one event left, its re-arm arrived.
             self.last_pop_rotated = true;
         } else {
             self.live -= 1;
             self.last_pop_rotated = false;
+            self.undo_lane = None;
         }
         Some((e.time, e.payload))
+    }
+
+    /// Take back the most recent pop's rotation (see
+    /// [`EventQueue::undo_rotation`]).
+    fn undo_rotation(&mut self) -> bool {
+        let Some(i) = self.undo_lane.take() else {
+            return false;
+        };
+        // Nothing was scheduled since the rotation, so its re-arm is the
+        // lane's back and holds the last sequence number drawn: removing
+        // it and returning the number leaves the queue as if the pop had
+        // not rotated at all.
+        let e = self.lanes[i].q.pop_back();
+        debug_assert!(e.is_some_and(|e| e.seq + 1 == self.next_seq));
+        self.next_seq -= 1;
+        self.live -= 1;
+        self.last_pop_rotated = false;
+        true
     }
 }
 
@@ -701,8 +808,9 @@ struct ClassicQueue<E> {
     next_seq: u64,
     cancelled: std::collections::HashSet<u64>,
     live: usize,
-    /// Tie-break permutation salt (see [`mix_ord`]); cancellation stays
-    /// keyed by the raw sequence number either way.
+    /// Tie-break permutation salt (see [`mix_ord`]). `cancelled` holds
+    /// salted keys `mix_ord(seq, salt)`, the only copy of an entry's
+    /// sequence number that its heap entry carries.
     salt: u64,
     /// Burst counter (see the fast queue's field of the same name).
     burst: u64,
@@ -725,7 +833,9 @@ impl<E> ClassicQueue<E> {
         self.next_seq += 1;
         self.heap.push(HeapEntry {
             time: at,
-            seq,
+            // No scheduled-at key: the classic queue orders by
+            // `(time, seq)` alone.
+            sched_at: SimTime::ZERO,
             ord: (self.burst, mix_ord(seq, self.salt)),
             slot: NO_SLOT,
             payload,
@@ -738,17 +848,19 @@ impl<E> ClassicQueue<E> {
         if handle.0 >= self.next_seq {
             return false;
         }
-        self.cancelled.insert(handle.0)
+        // Heap entries carry the salted key `mix_ord(seq, salt)` (a
+        // bijection), so cancellations are recorded under it too.
+        self.cancelled.insert(mix_ord(handle.0, self.salt))
     }
 
     fn drain_cancelled(&mut self) {
         while let Some(top) = self.heap.peek() {
-            if self.cancelled.contains(&top.seq) {
+            if self.cancelled.contains(&top.ord.1) {
                 let Some(e) = self.heap.pop() else {
                     debug_assert!(false, "peeked heap entry must pop");
                     break;
                 };
-                self.cancelled.remove(&e.seq);
+                self.cancelled.remove(&e.ord.1);
                 self.live = self.live.saturating_sub(1);
             } else {
                 break;
@@ -855,6 +967,26 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Schedule a never-cancelled event at `at` keyed as though it had
+    /// been scheduled at the earlier sim time `scheduled_at` (see the
+    /// module docs): among events due at `at`, it pops after those
+    /// scheduled before `scheduled_at` and before those scheduled after
+    /// it. Ties with events scheduled at exactly `scheduled_at` break by
+    /// insertion order, as always. The engine uses this to re-arm a
+    /// timer it let lapse where the still-ticking timer would stand: a
+    /// re-arm drawn at `scheduled_at` by the previous tick.
+    ///
+    /// Always a heap entry on the fast queue. The classic queue, which
+    /// has no scheduled-at key, schedules it plainly, in insertion order.
+    pub fn schedule_backdated(&mut self, at: SimTime, scheduled_at: SimTime, payload: E) {
+        match &mut self.imp {
+            Imp::Fast(q) => q.schedule_backdated(at, scheduled_at, payload),
+            Imp::Classic(q) => {
+                q.schedule(at, payload);
+            }
+        }
+    }
+
     /// Schedule a strictly periodic event (no cancellation handle). On the
     /// fast queue these are routed through the timer wheel, so the
     /// comparison heap holds only irregular events; beyond the wheel
@@ -916,7 +1048,7 @@ impl<E> EventQueue<E> {
     /// Time of the next live event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         match &mut self.imp {
-            Imp::Fast(q) => q.peek_key().map(|(t, _)| t),
+            Imp::Fast(q) => q.peek_key().map(|(t, _, _)| t),
             Imp::Classic(q) => q.peek_time(),
         }
     }
@@ -965,6 +1097,32 @@ impl<E> EventQueue<E> {
         match &self.imp {
             Imp::Fast(q) => q.last_pop_rotated,
             Imp::Classic(_) => false,
+        }
+    }
+
+    /// Cancel the re-arm that the most recent [`pop`](Self::pop) rotated
+    /// into its lane, returning its sequence number to the counter, so
+    /// the timer stops. Returns `false` (and changes nothing) when there
+    /// is nothing to undo: the pop did not rotate, the rotation fell back
+    /// off its lane, or anything has been scheduled since the pop. Always
+    /// `false` on the classic queue. The engine calls it when a tick finds
+    /// its core idle and lets that core's timer lapse (tickless idle).
+    pub fn undo_rotation(&mut self) -> bool {
+        match &mut self.imp {
+            Imp::Fast(q) => q.undo_rotation(),
+            Imp::Classic(_) => false,
+        }
+    }
+
+    /// Sim time at which the most recently popped event was scheduled
+    /// (its back-date, for
+    /// [`schedule_backdated`](Self::schedule_backdated) entries). Zero
+    /// before the first pop, and always on the classic queue, which keeps
+    /// no scheduled-at key.
+    pub fn popped_scheduled_at(&self) -> SimTime {
+        match &self.imp {
+            Imp::Fast(q) => q.popped_sched_at,
+            Imp::Classic(_) => SimTime::ZERO,
         }
     }
 
@@ -1246,6 +1404,63 @@ mod tests {
             if a.is_none() {
                 break;
             }
+        }
+    }
+
+    /// Undoing a rotation stops the timer and returns its sequence
+    /// number; it is only possible right after the rotating pop.
+    #[test]
+    fn undo_rotation_stops_a_cadenced_timer() {
+        let mut q = EventQueue::new();
+        q.set_auto_cadence(true);
+        q.schedule_cadenced(SimTime::from_nanos(100), 100, "tick");
+        q.schedule_cadenced(SimTime::from_nanos(150), 100, "other");
+        assert!(!q.undo_rotation(), "nothing popped yet");
+        let mark = q.seq_mark();
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(100), "tick")));
+        assert!(q.last_pop_rotated());
+        assert!(q.undo_rotation());
+        assert!(!q.undo_rotation(), "undone once");
+        assert_eq!(q.seq_mark(), mark, "the re-arm's seq is returned");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(150), "other")));
+        // A schedule call after the pop closes the undo window.
+        q.schedule(SimTime::from_nanos(400), "late");
+        assert!(!q.undo_rotation());
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(250), "other")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(350), "other")));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(400), "late")));
+    }
+
+    /// A back-dated entry pops among equal-time events as though it had
+    /// been scheduled at its back-date: after earlier-scheduled ones,
+    /// before later-scheduled ones, and after those scheduled at exactly
+    /// the back-date (insertion order breaks that tie). A salt keeps
+    /// that order across bursts.
+    #[test]
+    fn backdated_entries_order_by_scheduled_at() {
+        let t = SimTime::from_nanos(1_000);
+        for salt in [0, 0x5eed] {
+            let mut q = EventQueue::new();
+            q.set_tiebreak_salt(salt);
+            q.schedule_nocancel(t, "at0");
+            q.schedule_nocancel(SimTime::from_nanos(300), "pop300");
+            q.schedule_nocancel(SimTime::from_nanos(600), "pop600");
+            assert_eq!(q.pop().map(|(_, p)| p), Some("pop300"));
+            q.schedule_nocancel(t, "at300");
+            assert_eq!(q.pop().map(|(_, p)| p), Some("pop600"));
+            assert_eq!(q.popped_scheduled_at(), SimTime::ZERO);
+            q.schedule_nocancel(t, "at600");
+            q.schedule_backdated(t, SimTime::from_nanos(400), "back@400");
+            q.schedule_backdated(t, SimTime::from_nanos(300), "back@300");
+            q.schedule_backdated(SimTime::from_nanos(900), SimTime::ZERO, "back900");
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+            assert_eq!(
+                order,
+                ["back900", "at0", "at300", "back@300", "back@400", "at600"],
+                "salt {salt:#x}"
+            );
+            assert_eq!(q.popped_scheduled_at(), SimTime::from_nanos(600));
         }
     }
 

@@ -315,6 +315,30 @@ fn zero_balance_interval_is_rejected_without_a_panic() {
     }
 }
 
+/// A BWD check that costs as much as its own interval would book more
+/// kernel time than the CPUs have: `try_run` must refuse the config.
+#[test]
+fn bwd_check_cost_at_interval_is_rejected_without_a_panic() {
+    let mut cfg = RunConfig::vanilla(16)
+        .with_machine(MachineSpec::PaperN(16))
+        .with_mech(Mechanisms::optimized())
+        .with_max_time(SimTime::from_millis(20));
+    cfg.bwd_params.check_cost_ns = 250_000;
+    let err = cfg.validate().expect_err("validate() must reject it");
+    assert!(err.contains("check_cost_ns"), "unexpected message: {err}");
+    let mut wl = SpinPipeline::new(8, 20, WaitFlavor::Flags);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run(&mut wl, &cfg)));
+    match outcome {
+        Ok(Err(EngineError::InvalidConfig(msg))) => assert_eq!(msg, err),
+        Ok(Err(e)) => panic!("wrong error: {e}"),
+        Ok(Ok(r)) => panic!(
+            "try_run accepted a check as long as its interval: {} ns kernel time",
+            r.cpus.kernel_ns
+        ),
+        Err(_) => panic!("try_run panicked instead of returning an error"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

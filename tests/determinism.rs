@@ -156,6 +156,26 @@ fn idle_heavy_machine_is_bit_identical() {
 }
 
 #[test]
+fn tick_dominated_512c_machine_is_bit_identical() {
+    // The benchmark's `tick-512c` run: 8 threads on 512 CPUs, where
+    // nearly every core idles and tickless idle lets its BWD tick lapse.
+    // The fingerprint predates tickless idle: settling the skipped ticks
+    // in closed form must leave every report byte where ticking put it.
+    let profile = BenchProfile::by_name("streamcluster").expect("known benchmark");
+    let cfg = RunConfig::vanilla(512)
+        .with_machine(MachineSpec::PaperN(512))
+        .with_mech(Mechanisms::optimized())
+        .with_seed(11)
+        .with_max_time(SimTime::from_millis(300));
+    assert_golden(
+        || Box::new(Skeleton::scaled(profile, 8, 0.60).with_salt(11)),
+        &cfg,
+        "skeleton/8T/512c",
+        (1172, 0xab20_a0bc_08a2_59eb),
+    );
+}
+
+#[test]
 fn web_serving_with_elasticity_is_bit_identical() {
     // Exercises the elastic path (core count changes mid-run) plus epoll.
     let cpus = WebServing::new(24, 8, 50_000.0).total_cpus();
