@@ -1,15 +1,18 @@
 //! Simulator throughput benchmark: events/sec and wall-clock of the
-//! optimized engine (slab-cancellation queue + timer wheel, cached picks,
-//! resched coalescing, idle-quiet timer dispatch, tickless idle) versus
+//! optimized engine (slab-cancellation queue + timer wheel, re-armable
+//! timer slots, cached picks, resched coalescing, idle-quiet timer
+//! dispatch, tickless idle) versus
 //! the reference engine (classic heap+HashSet queue, uncached scans, no
 //! coalescing, every tick simulated) on representative workloads. Both
 //! engines produce bit-identical *report metrics* — see
 //! `tests/determinism.rs`; this binary re-asserts the per-mechanism
 //! counters match on every arm — so this measures pure host-side speed.
 //! The engines' internal processed-event counts may legitimately differ:
-//! resched coalescing retires duplicate wakeup events before dispatch, and
-//! tickless idle settles idle cores' ticks without popping them (on the
-//! 512-core arm, ~78k optimized events stand for the reference's ~1.59M).
+//! resched coalescing retires duplicate wakeup events before dispatch,
+//! tickless idle settles idle cores' ticks without popping them, and
+//! re-armable timer slots drop superseded slice, segment-end and
+//! spin-exit timers from the queue (on the 512-core arm, ~55k optimized
+//! events stand for the reference's ~1.59M).
 //! An engine's own event count therefore does not measure work done. The
 //! gated throughput, `optimized_events_per_sec`, is the *reference*
 //! engine's event count (the work, popped one event at a time) per

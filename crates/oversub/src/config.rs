@@ -426,6 +426,16 @@ impl RunConfig {
         if self.sched.balance_interval_ns == 0 {
             return Err("sched.balance_interval_ns = 0 (balance ticks would never advance)".into());
         }
+        if self.sched.min_granularity_ns == 0 {
+            // The slice is max(target_latency / nr_running, min_granularity),
+            // so a zero floor lets a busy CPU's slice round down to zero and
+            // re-expire at the same instant forever.
+            return Err(
+                "sched.min_granularity_ns = 0 (a CFS slice could be zero and \
+                 re-expire without time advancing)"
+                    .into(),
+            );
+        }
         if self.mech.ple && self.ple().window_ns == 0 {
             return Err("PLE is enabled with window_ns = 0 (exit storm on every spin)".into());
         }
@@ -606,6 +616,13 @@ mod tests {
         let mut cfg = RunConfig::vanilla(4);
         cfg.sched.balance_interval_ns = 0;
         assert!(cfg.validate().unwrap_err().contains("balance_interval_ns"));
+
+        let mut cfg = RunConfig::vanilla(4);
+        cfg.sched.min_granularity_ns = 0;
+        assert!(cfg.validate().unwrap_err().contains("min_granularity_ns"));
+        cfg.sched.min_granularity_ns = 1;
+        cfg.sched.target_latency_ns = 0;
+        assert!(cfg.validate().is_ok(), "a 1 ns floor keeps time moving");
     }
 
     #[test]

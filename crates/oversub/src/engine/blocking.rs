@@ -41,8 +41,8 @@ impl Engine {
                 *s = Some(t);
             }
         }
-        self.stint_epoch[cpu] += 1;
-        self.seg_epoch[cpu] += 1;
+        self.retire_stint(cpu);
+        self.retire_segment(cpu);
         self.spin_exit_at[cpu] = None;
         self.sched_resched(t + out.cost_ns, cpu);
     }
@@ -152,7 +152,7 @@ impl Engine {
         debug_assert_eq!(self.sched.cpus[wcpu].current, Some(w));
         let t2 = t.max_of(self.sched.cpus[wcpu].accounted_until);
         self.account_progress(wcpu, t2);
-        self.seg_epoch[wcpu] += 1;
+        self.retire_segment(wcpu);
         self.spin_exit_at[wcpu] = None;
         self.seg_event[wcpu] = SegEventKind::None;
         let claimed = if is_mutex {
@@ -203,7 +203,7 @@ impl Engine {
         if let Some((wcpu, w)) = waiter {
             let t2 = t.max_of(self.sched.cpus[wcpu].accounted_until);
             self.account_progress(wcpu, t2);
-            self.seg_epoch[wcpu] += 1;
+            self.retire_segment(wcpu);
             self.spin_exit_at[wcpu] = None;
             self.seg_event[wcpu] = SegEventKind::None;
             // The lock was just released with no designated heir, so a
@@ -233,7 +233,7 @@ impl Engine {
                 let t2 = t.max_of(self.sched.cpus[wcpu].accounted_until);
                 self.account_progress(wcpu, t2);
                 self.conts[w.0] = Cont::Ready;
-                self.seg_epoch[wcpu] += 1;
+                self.retire_segment(wcpu);
                 self.spin_exit_at[wcpu] = None;
                 self.seg_event[wcpu] = SegEventKind::None;
                 self.advance_task(wcpu, t2);

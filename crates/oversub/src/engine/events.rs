@@ -2,7 +2,7 @@
 //! segment completion, slice expiry, wakeup preemption, load balancing,
 //! I/O completion, and CPU elasticity.
 
-use super::{Cont, Engine, Event, RunKind, SegEventKind, Tickless};
+use super::{Cont, Engine, Event, RunKind, SegEventKind, Tickless, Timer};
 use crate::trace::TraceKind;
 use oversub_hw::CpuId;
 use oversub_simcore::SimTime;
@@ -208,7 +208,7 @@ impl Engine {
                     // Drawn before this handler's other schedule calls,
                     // as the ticking timer's re-arm would have been.
                     self.rearm_lapsed_tick(cpu);
-                    self.stint_epoch[cpu] += 1;
+                    self.retire_stint(cpu);
                     self.charge_kernel(cpu, cost);
                     if switched {
                         // LBR state is saved/restored per task (as Linux
@@ -220,10 +220,7 @@ impl Engine {
                     // Arm the stint's slice timer (chaos runs may add an
                     // injected expiry delay).
                     let slice = self.sched.slice_for(CpuId(cpu)) + self.slice_fault_delay();
-                    self.queue.schedule_nocancel(
-                        start_t + slice,
-                        Event::Slice(cpu, self.stint_epoch[cpu]),
-                    );
+                    self.arm_timer(cpu, Timer::Slice, start_t + slice);
                     self.sched.cpus[cpu].time.context_switches += 1;
                     self.advance_task(cpu, start_t);
                     return;
@@ -252,7 +249,7 @@ impl Engine {
     }
 
     pub(crate) fn on_seg_end(&mut self, cpu: usize, epoch: u64) {
-        if epoch != self.seg_epoch[cpu] {
+        if epoch != self.epochs[cpu].seg {
             return;
         }
         let Some(tid) = self.sched.cpus[cpu].current else {
@@ -275,7 +272,7 @@ impl Engine {
     }
 
     pub(crate) fn on_slice(&mut self, cpu: usize, epoch: u64) {
-        if epoch != self.stint_epoch[cpu] {
+        if epoch != self.epochs[cpu].stint {
             return;
         }
         let Some(tid) = self.sched.cpus[cpu].current else {
@@ -285,8 +282,7 @@ impl Engine {
         if self.sched.cpus[cpu].rq.nr_schedulable() == 0 {
             // Nobody else: extend the stint.
             let slice = self.sched.slice_for(CpuId(cpu)) + self.slice_fault_delay();
-            self.queue
-                .schedule_nocancel(self.now + slice, Event::Slice(cpu, epoch));
+            self.arm_timer(cpu, Timer::Slice, self.now + slice);
             return;
         }
         // Preempt: save remaining work, requeue, pick next.
@@ -301,8 +297,8 @@ impl Engine {
             self.now,
             oversub_sched::StopReason::Preempted,
         );
-        self.stint_epoch[cpu] += 1;
-        self.seg_epoch[cpu] += 1;
+        self.retire_stint(cpu);
+        self.retire_segment(cpu);
         self.spin_exit_at[cpu] = None;
         self.sched_resched(self.now, cpu);
     }
@@ -344,8 +340,8 @@ impl Engine {
             self.now,
             oversub_sched::StopReason::Preempted,
         );
-        self.stint_epoch[cpu] += 1;
-        self.seg_epoch[cpu] += 1;
+        self.retire_stint(cpu);
+        self.retire_segment(cpu);
         self.spin_exit_at[cpu] = None;
         self.sched_resched(self.now, cpu);
     }
@@ -423,8 +419,8 @@ impl Engine {
                     self.now,
                     oversub_sched::StopReason::Preempted,
                 );
-                self.stint_epoch[c] += 1;
-                self.seg_epoch[c] += 1;
+                self.retire_stint(c);
+                self.retire_segment(c);
                 self.spin_exit_at[c] = None;
             }
             // Move every queued, unpinned task to an online CPU.

@@ -168,6 +168,44 @@ pub(crate) enum Event {
     Stop,
 }
 
+/// The per-CPU one-shot timers, each in a re-armable queue slot
+/// ([`EventQueue::arm`]): arming one replaces its pending expiry, and
+/// retiring the stint or segment it belongs to disarms it
+/// ([`Engine::retire_stint`], [`Engine::retire_segment`]). Their events
+/// keep their epochs, because the reference engine's classic queue and
+/// salted queues still pop superseded ones.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Timer {
+    /// The stint's slice expiry ([`Event::Slice`]).
+    Slice,
+    /// The segment's scheduled end ([`Event::SegEnd`]).
+    SegEnd,
+    /// The segment's armed spin exit ([`Event::SpinExit`]).
+    SpinExit,
+}
+
+impl Timer {
+    /// Timers per CPU: the number of slots the queue reserves for each.
+    const PER_CPU: usize = 3;
+
+    /// `cpu`'s queue slot for this timer.
+    fn slot(self, cpu: usize) -> usize {
+        Self::PER_CPU * cpu + self as usize
+    }
+}
+
+/// A CPU's timer epochs. A popped timer event carrying an older epoch
+/// belongs to a retired stint or segment and is a no-op.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Epochs {
+    /// Stint-level events (Slice); bumped only by
+    /// [`Engine::retire_stint`].
+    pub stint: u64,
+    /// Segment-level events (SegEnd/SpinExit); bumped only by
+    /// [`Engine::retire_segment`].
+    pub seg: u64,
+}
+
 /// Host-side time attribution of one run, split by simulation phase.
 /// Filled only when profiling is requested ([`run_phase_profiled`]); the
 /// normal run loop pays one branch per event for the possibility.
@@ -244,10 +282,8 @@ pub(crate) struct Engine {
     pub conts: Vec<Cont>,
     pub rngs: Vec<SimRng>,
     pub queue: EventQueue<Event>,
-    /// Per-CPU epoch for stint-level events (Slice).
-    pub stint_epoch: Vec<u64>,
-    /// Per-CPU epoch for segment-level events (SegEnd/SpinExit).
-    pub seg_epoch: Vec<u64>,
+    /// Per-CPU timer epochs.
+    pub epochs: Vec<Epochs>,
     /// Per-CPU current segment kind (valid while running).
     pub run_kind: Vec<RunKind>,
     /// Per-CPU SMT speed factor captured at segment start.
@@ -410,7 +446,6 @@ impl Engine {
             rngs.push(base_rng.fork(i as u64 + 1));
         }
 
-        let ncpu = topo.num_cpus();
         let end_cap = cfg.max_time.unwrap_or(DEFAULT_CAP);
         let reference =
             cfg.reference_engine || std::env::var_os("OVERSUB_REFERENCE_ENGINE").is_some();
@@ -443,10 +478,14 @@ impl Engine {
         };
         if cfg.schedule_salt != 0 {
             // Certifier runs permute equal-time same-burst ties; the
-            // wheel/lane fast paths order by raw insertion sequence, so
-            // the salt also routes everything through the plain heap.
+            // wheel/lane/slot fast paths order by raw insertion sequence,
+            // so the salt also routes everything through the plain heap.
             queue.set_tiebreak_salt(cfg.schedule_salt);
         }
+        let ncpu = topo.num_cpus();
+        // Timers are armed only where tasks run, and tasks start on the
+        // first CPUs; a task that moves beyond them grows the slot map.
+        queue.reserve_timer_slots(Timer::PER_CPU * ncpu.min(n));
         let timer_intervals: Vec<Option<u64>> = (0..mechs.len())
             .map(|i| mechs.timer_interval_ns(i))
             .collect();
@@ -489,8 +528,7 @@ impl Engine {
             trace_cpu: std::env::var("OVERSUB_TRACE_CPU")
                 .ok()
                 .and_then(|v| v.parse::<usize>().ok()),
-            stint_epoch: vec![0; ncpu],
-            seg_epoch: vec![0; ncpu],
+            epochs: vec![Epochs::default(); ncpu],
             run_kind: vec![RunKind::Useful; ncpu],
             seg_rate: vec![1.0; ncpu],
             seg_done_at: vec![SimTime::ZERO; ncpu],
@@ -710,6 +748,33 @@ impl Engine {
         }
         self.queue.schedule_nocancel(at, Event::Resched(cpu));
         self.resched_pending[cpu] = Some((at, self.now, self.queue.seq_mark()));
+    }
+
+    /// Arm `cpu`'s `timer` to fire at `at` for the current stint or
+    /// segment, replacing its pending expiry.
+    pub(crate) fn arm_timer(&mut self, cpu: usize, timer: Timer, at: SimTime) {
+        let ev = match timer {
+            Timer::Slice => Event::Slice(cpu, self.epochs[cpu].stint),
+            Timer::SegEnd => Event::SegEnd(cpu, self.epochs[cpu].seg),
+            Timer::SpinExit => Event::SpinExit(cpu, self.epochs[cpu].seg),
+        };
+        self.queue.arm(timer.slot(cpu), at, ev);
+    }
+
+    /// End `cpu`'s stint: its slice timer can no longer fire. A popped
+    /// event of the old stint fails its epoch check; on the fast queue
+    /// it is disarmed and never pops.
+    pub(crate) fn retire_stint(&mut self, cpu: usize) {
+        self.epochs[cpu].stint += 1;
+        self.queue.disarm(Timer::Slice.slot(cpu));
+    }
+
+    /// End `cpu`'s segment: its end and spin exit can no longer fire
+    /// (see [`retire_stint`](Self::retire_stint)).
+    pub(crate) fn retire_segment(&mut self, cpu: usize) {
+        self.epochs[cpu].seg += 1;
+        self.queue.disarm(Timer::SegEnd.slot(cpu));
+        self.queue.disarm(Timer::SpinExit.slot(cpu));
     }
 
     fn dispatch(&mut self, ev: Event) {

@@ -2,7 +2,7 @@
 //! periodic monitoring timer ([`Engine::on_mech_timer`], BWD's home) and
 //! the armed spin exit ([`Engine::on_spin_exit`], PLE's home).
 
-use super::{Cont, Engine, Event, RunKind, SegEventKind};
+use super::{Cont, Engine, Event, RunKind, SegEventKind, Timer};
 use crate::mechanism::TimerCtx;
 use crate::trace::TraceKind;
 use oversub_hw::CpuId;
@@ -122,8 +122,8 @@ impl Engine {
             t,
             oversub_sched::StopReason::Preempted,
         );
-        self.stint_epoch[cpu] += 1;
-        self.seg_epoch[cpu] += 1;
+        self.retire_stint(cpu);
+        self.retire_segment(cpu);
         self.spin_exit_at[cpu] = None;
         self.sched_resched(t, cpu);
     }
@@ -135,7 +135,7 @@ impl Engine {
     /// it back soon, and the mechanism's adaptive window doubles so future
     /// exits get rarer. This is why PLE barely helps.
     pub(crate) fn on_spin_exit(&mut self, cpu: usize, epoch: u64) {
-        if epoch != self.seg_epoch[cpu] {
+        if epoch != self.epochs[cpu].seg {
             return;
         }
         let Some(tid) = self.sched.cpus[cpu].current else {
@@ -162,8 +162,8 @@ impl Engine {
             t,
             oversub_sched::StopReason::Preempted,
         );
-        self.stint_epoch[cpu] += 1;
-        self.seg_epoch[cpu] += 1;
+        self.retire_stint(cpu);
+        self.retire_segment(cpu);
         self.spin_exit_at[cpu] = None;
         self.sched_resched(t, cpu);
     }
@@ -211,20 +211,18 @@ impl Engine {
         if self.sched.cpus[cpu].current.is_none() {
             return;
         }
-        self.seg_epoch[cpu] += 1;
-        let e = self.seg_epoch[cpu];
+        self.retire_segment(cpu);
         self.seg_done_at[cpu] += delta;
         match self.seg_event[cpu] {
             SegEventKind::WorkEnd | SegEventKind::ParkDeadline => {
-                self.queue
-                    .schedule_nocancel(self.seg_done_at[cpu], Event::SegEnd(cpu, e));
+                self.arm_timer(cpu, Timer::SegEnd, self.seg_done_at[cpu]);
             }
             SegEventKind::None => {}
         }
         if let Some((p, idx)) = self.spin_exit_at[cpu] {
             let np = p + delta;
             self.spin_exit_at[cpu] = Some((np, idx));
-            self.queue.schedule_nocancel(np, Event::SpinExit(cpu, e));
+            self.arm_timer(cpu, Timer::SpinExit, np);
         }
     }
 
@@ -261,16 +259,13 @@ impl Engine {
         };
         let rate = self.sched.smt_factor(CpuId(cpu));
         let scaled = (left_ns as f64 / rate).ceil() as u64;
-        self.seg_epoch[cpu] += 1;
+        self.retire_segment(cpu);
         self.seg_rate[cpu] = rate;
         self.run_kind[cpu] = kind;
         self.seg_done_at[cpu] = t + scaled.max(1);
         self.seg_event[cpu] = SegEventKind::WorkEnd;
         self.spin_exit_at[cpu] = None;
-        self.queue.schedule_nocancel(
-            self.seg_done_at[cpu],
-            Event::SegEnd(cpu, self.seg_epoch[cpu]),
-        );
+        self.arm_timer(cpu, Timer::SegEnd, self.seg_done_at[cpu]);
     }
 
     pub(crate) fn begin_spin_segment(
@@ -281,17 +276,14 @@ impl Engine {
         budget: Option<u64>,
         t: SimTime,
     ) {
-        self.seg_epoch[cpu] += 1;
+        self.retire_segment(cpu);
         self.seg_rate[cpu] = 1.0;
         self.run_kind[cpu] = RunKind::Spin(sig);
         match budget {
             Some(b) => {
                 self.seg_done_at[cpu] = t + b.max(1);
                 self.seg_event[cpu] = SegEventKind::ParkDeadline;
-                self.queue.schedule_nocancel(
-                    self.seg_done_at[cpu],
-                    Event::SegEnd(cpu, self.seg_epoch[cpu]),
-                );
+                self.arm_timer(cpu, Timer::SegEnd, self.seg_done_at[cpu]);
             }
             None => {
                 self.seg_done_at[cpu] = SimTime::NEVER;
@@ -308,8 +300,7 @@ impl Engine {
         match armed {
             Some((at, idx)) => {
                 self.spin_exit_at[cpu] = Some((at, idx));
-                self.queue
-                    .schedule_nocancel(at, Event::SpinExit(cpu, self.seg_epoch[cpu]));
+                self.arm_timer(cpu, Timer::SpinExit, at);
             }
             None => {
                 self.spin_exit_at[cpu] = None;

@@ -162,8 +162,8 @@ impl Engine {
                     t,
                     oversub_sched::StopReason::Yielded,
                 );
-                self.stint_epoch[cpu] += 1;
-                self.seg_epoch[cpu] += 1;
+                self.retire_stint(cpu);
+                self.retire_segment(cpu);
                 self.spin_exit_at[cpu] = None;
                 self.sched_resched(t, cpu);
                 Flow::Break
@@ -178,8 +178,8 @@ impl Engine {
                     oversub_sched::StopReason::Sleep,
                 );
                 self.conts[tid.0] = Cont::Blocked(Resume::Io);
-                self.stint_epoch[cpu] += 1;
-                self.seg_epoch[cpu] += 1;
+                self.retire_stint(cpu);
+                self.retire_segment(cpu);
                 self.spin_exit_at[cpu] = None;
                 self.queue
                     .schedule_nocancel(t + syscall + ns, Event::IoDone(tid.0));
@@ -196,8 +196,8 @@ impl Engine {
                 self.conts[tid.0] = Cont::Done;
                 self.live -= 1;
                 self.last_exit = self.last_exit.max_of(t);
-                self.stint_epoch[cpu] += 1;
-                self.seg_epoch[cpu] += 1;
+                self.retire_stint(cpu);
+                self.retire_segment(cpu);
                 self.spin_exit_at[cpu] = None;
                 self.sched_resched(t, cpu);
                 Flow::Break
@@ -393,8 +393,8 @@ impl Engine {
                                 *s = Some(t);
                             }
                         }
-                        self.stint_epoch[cpu] += 1;
-                        self.seg_epoch[cpu] += 1;
+                        self.retire_stint(cpu);
+                        self.retire_segment(cpu);
                         self.spin_exit_at[cpu] = None;
                         self.sched_resched(t + out.cost_ns, cpu);
                         Flow::Break

@@ -16,18 +16,26 @@
 //!
 //! Two implementations live behind [`EventQueue`]:
 //!
-//! - The default **fast** queue: a binary heap for irregular events with
-//!   O(1) slot/generation cancellation (no hashing on `peek_time`/`pop`),
-//!   plus a bucketed timer wheel ([`WHEEL_BUCKETS`] × [`WHEEL_GRAIN_NS`])
-//!   that absorbs strictly periodic ticks scheduled through
-//!   [`EventQueue::schedule_periodic`], keeping them out of the comparison
-//!   heap entirely.
+//! - The default **fast** queue pops the minimum key over four sources:
+//!   - a binary heap for irregular events, with O(1) slot/generation
+//!     cancellation (no hashing on `peek_time`/`pop`);
+//!   - a bucketed timer wheel ([`WHEEL_BUCKETS`] × [`WHEEL_GRAIN_NS`])
+//!     that absorbs strictly periodic ticks scheduled through
+//!     [`EventQueue::schedule_periodic`], keeping them out of the
+//!     comparison heap entirely;
+//!   - per-cadence FIFO lanes for timers declared through
+//!     [`EventQueue::schedule_cadenced`];
+//!   - re-armable timer slots ([`EventQueue::arm`]): an indexed heap
+//!     holding at most one entry per slot, where arming a slot replaces
+//!     its pending entry and [`EventQueue::disarm`] removes it, so a
+//!     superseded one-shot timer never enters the queue's pop path.
 //! - The **classic** queue ([`EventQueue::classic`]): the original
 //!   `BinaryHeap` + `HashSet` lazy-cancellation structure, kept as the
 //!   measurement baseline and as the reference model for the golden
 //!   determinism test. Both implementations draw sequence numbers the same
 //!   way, so they pop the exact same `(time, seq)` order for the same call
-//!   sequence.
+//!   sequence, except that the classic queue keeps and pops the entries
+//!   that re-arming or disarming a slot superseded.
 //!
 //! Cancellation in the fast queue is still lazy in the heap (a cancelled
 //! entry stays until it surfaces), but the liveness check is a slab index
@@ -331,21 +339,195 @@ struct Lane<E> {
 /// have a handful (mechanism timer, balance, watchdog, fault tick).
 const MAX_LANES: usize = 8;
 
+/// `TimerCell::pos` value of a slot with no pending entry.
+const UNARMED: u32 = u32::MAX;
+
+/// Cell `k` of [`TimerSlots`]: slot `k`'s pending entry and its heap
+/// position, plus the slot at heap position `k`.
+struct TimerCell<E> {
+    /// Key of slot `k`'s pending entry (stale while unarmed).
+    key: Key,
+    /// Payload of slot `k`'s pending entry; `None` while unarmed.
+    payload: Option<E>,
+    /// Heap position of slot `k`'s pending entry, or [`UNARMED`].
+    pos: u32,
+    /// The slot whose entry is at heap position `k` (for `k < len`).
+    heap: u32,
+}
+
+impl<E> TimerCell<E> {
+    fn vacant() -> Self {
+        TimerCell {
+            key: (SimTime::ZERO, SimTime::ZERO, 0),
+            payload: None,
+            pos: UNARMED,
+            heap: 0,
+        }
+    }
+}
+
+/// Re-armable timer slots (see [`EventQueue::arm`]): an indexed binary
+/// min-heap over the armed slots. Entries live per slot, and a slot →
+/// heap-position map finds a slot's pending entry in O(1), so re-arming
+/// or disarming it restores heap order in O(log armed). All three
+/// arrays share one allocation.
+struct TimerSlots<E> {
+    /// Indexed by slot for `key`/`payload`/`pos`, by heap position for
+    /// `heap`. Heap order: the entry at position `i` is no later than
+    /// those at `2i + 1` and `2i + 2`.
+    cells: Vec<TimerCell<E>>,
+    /// Number of armed slots, which hold heap positions `0..len`.
+    len: usize,
+}
+
+impl<E> TimerSlots<E> {
+    fn new() -> Self {
+        TimerSlots {
+            cells: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Make room for slots `0..n`, so arming them never allocates.
+    /// Cells are initialized as slots are first armed.
+    fn reserve(&mut self, n: usize) {
+        self.cells.reserve(n.saturating_sub(self.cells.len()));
+    }
+
+    /// Key of the entry at heap position `i`.
+    fn key_at(&self, i: usize) -> Key {
+        self.cells[self.cells[i].heap as usize].key
+    }
+
+    fn peek_key(&self) -> Option<Key> {
+        (self.len > 0).then(|| self.key_at(0))
+    }
+
+    /// Swap heap positions `i` and `j`.
+    fn swap(&mut self, i: usize, j: usize) {
+        let (a, b) = (self.cells[i].heap, self.cells[j].heap);
+        self.cells[i].heap = b;
+        self.cells[j].heap = a;
+        self.cells[b as usize].pos = i as u32;
+        self.cells[a as usize].pos = j as u32;
+    }
+
+    /// Move the entry at `i` up to its place; returns where it settled.
+    fn sift_up(&mut self, mut i: usize) -> usize {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.key_at(parent) <= self.key_at(i) {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+        i
+    }
+
+    /// Move the entry at `i` down to its place.
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.len {
+                return;
+            }
+            let right = left + 1;
+            let child = if right < self.len && self.key_at(right) < self.key_at(left) {
+                right
+            } else {
+                left
+            };
+            if self.key_at(i) <= self.key_at(child) {
+                return;
+            }
+            self.swap(i, child);
+            i = child;
+        }
+    }
+
+    /// Put an entry in `slot`; returns whether it replaced a pending one.
+    fn arm(&mut self, slot: usize, key: Key, payload: E) -> bool {
+        if slot >= self.cells.len() {
+            assert!(slot < UNARMED as usize, "timer slot {slot} out of range");
+            self.cells.resize_with(slot + 1, TimerCell::vacant);
+        }
+        let cell = &mut self.cells[slot];
+        cell.key = key;
+        cell.payload = Some(payload);
+        let p = cell.pos;
+        if p == UNARMED {
+            // Every armed slot has a cell, so position `len` does too.
+            let i = self.len;
+            self.len += 1;
+            self.cells[i].heap = slot as u32;
+            self.cells[slot].pos = i as u32;
+            self.sift_up(i);
+            false
+        } else {
+            // The new key may be earlier or later than the old one.
+            let i = self.sift_up(p as usize);
+            self.sift_down(i);
+            true
+        }
+    }
+
+    /// Remove the entry at heap position `i`, returning its key and
+    /// payload. The last entry takes its place and may belong above or
+    /// below it, so it sifts both ways.
+    fn remove_at(&mut self, i: usize) -> (Key, Option<E>) {
+        let last = self.len - 1;
+        self.swap(i, last);
+        self.len = last;
+        let slot = self.cells[last].heap as usize;
+        let cell = &mut self.cells[slot];
+        cell.pos = UNARMED;
+        let removed = (cell.key, cell.payload.take());
+        if i < last {
+            let j = self.sift_up(i);
+            self.sift_down(j);
+        }
+        removed
+    }
+
+    /// Remove `slot`'s pending entry; returns whether it had one.
+    fn disarm(&mut self, slot: usize) -> bool {
+        match self.cells.get(slot) {
+            Some(cell) if cell.pos != UNARMED => {
+                self.remove_at(cell.pos as usize);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Pop the earliest entry: its key and payload.
+    fn pop(&mut self) -> Option<(Key, E)> {
+        if self.len == 0 {
+            return None;
+        }
+        let (key, payload) = self.remove_at(0);
+        debug_assert!(payload.is_some(), "armed slot without a payload");
+        Some((key, payload?))
+    }
+}
+
 /// The default implementation: slab-cancellation heap + timer wheel +
-/// per-cadence FIFO lanes.
+/// per-cadence FIFO lanes + re-armable timer slots.
 struct FastQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
     wheel: Wheel<E>,
     lanes: Vec<Lane<E>>,
+    timers: TimerSlots<E>,
     slots: Vec<Slot>,
     free: Vec<u32>,
     next_seq: u64,
-    /// Exact number of live (scheduled, not cancelled, not popped) events.
+    /// Exact number of live (scheduled, not cancelled, not popped)
+    /// events, armed timer slots included.
     live: usize,
     /// Cancelled entries still physically in the heap. Pops skip the
     /// cancelled-top drain scan entirely while this is zero — which for
-    /// the engine is always (it retires events by epoch, never by
-    /// cancellation).
+    /// the engine is always (it never cancels by handle).
     cancelled_pending: usize,
     /// Rotate cadenced pops in place (see
     /// [`EventQueue::set_auto_cadence`]).
@@ -364,8 +546,8 @@ struct FastQueue<E> {
     /// `scheduled_at` of the most recently popped entry.
     popped_sched_at: SimTime,
     /// Hot-lane pop cache: the lane that won the last pop, paired with
-    /// the minimum key over every *other* source (heap, wheel,
-    /// remaining lanes) at that moment. While subsequent pushes land
+    /// the minimum key over every *other* source (heap, wheel, timer
+    /// slots, remaining lanes) at that moment. While subsequent pushes land
     /// only on the hot lane — the steady state of a tick-dominated run,
     /// where each tick's re-arm goes straight back to its own lane — the
     /// other-source minimum cannot drop, so the next pop decides with a
@@ -391,6 +573,7 @@ impl<E> FastQueue<E> {
             heap: BinaryHeap::new(),
             wheel: Wheel::new(),
             lanes: Vec::new(),
+            timers: TimerSlots::new(),
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
@@ -458,7 +641,7 @@ impl<E> FastQueue<E> {
 
     /// Schedule without a cancellation slot: the entry can never be
     /// cancelled, so pops skip the slab entirely. This is the engine's
-    /// hot path — it retires events by epoch checks, never by handle.
+    /// hot path: it never cancels by handle.
     fn schedule_nocancel(&mut self, at: SimTime, payload: E) {
         let seq = self.draw_seq();
         self.hot = None;
@@ -587,6 +770,33 @@ impl<E> FastQueue<E> {
         }
     }
 
+    /// Arm timer slot `slot` (see [`EventQueue::arm`]). The sequence
+    /// number and scheduled-at stamp are drawn exactly as
+    /// [`schedule_nocancel`](Self::schedule_nocancel) draws them, so the
+    /// entry's key is the one a heap entry would have had.
+    fn arm(&mut self, slot: usize, at: SimTime, payload: E) {
+        if self.salt != 0 {
+            // The permutation keys are stated over heap entries: a salted
+            // queue keeps superseded entries and pops them.
+            self.schedule_nocancel(at, payload);
+            return;
+        }
+        let seq = self.draw_seq();
+        self.hot = None;
+        if !self.timers.arm(slot, (at, self.now, seq), payload) {
+            self.live += 1;
+        }
+    }
+
+    /// Disarm timer slot `slot` (see [`EventQueue::disarm`]). Like
+    /// `cancel`, removing an entry can only raise the other sources'
+    /// minima, so the hot-lane cache stays valid.
+    fn disarm(&mut self, slot: usize) {
+        if self.salt == 0 && self.timers.disarm(slot) {
+            self.live -= 1;
+        }
+    }
+
     /// Index and key of the lane holding the earliest front entry, if
     /// any lane is non-empty.
     #[inline]
@@ -640,8 +850,9 @@ impl<E> FastQueue<E> {
         self.drain_cancelled();
         let hk = self.heap.peek().map(HeapEntry::key);
         let wk = self.wheel.peek_key();
+        let tk = self.timers.peek_key();
         let lk = self.lane_min().map(|(_, k)| k);
-        [hk, wk, lk].into_iter().flatten().min()
+        [hk, wk, tk, lk].into_iter().flatten().min()
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)>
@@ -666,6 +877,7 @@ impl<E> FastQueue<E> {
         self.drain_cancelled();
         let hk = self.heap.peek().map(HeapEntry::key);
         let wk = self.wheel.peek_key();
+        let tk = self.timers.peek_key();
         // Best lane and the runner-up minimum over the *other* lanes
         // (needed to seed the hot cache when a lane wins).
         let mut lk: Option<(usize, Key)> = None;
@@ -688,7 +900,8 @@ impl<E> FastQueue<E> {
                 }
             }
         }
-        // Source of the minimum key: 0 = heap, 1 = wheel, 2 = best lane.
+        // Source of the minimum key: 0 = heap, 1 = wheel, 2 = timer
+        // slots, 3 = best lane.
         let mut src = usize::MAX;
         let mut best: Option<Key> = None;
         if let Some(h) = hk {
@@ -699,9 +912,14 @@ impl<E> FastQueue<E> {
                 (src, best) = (1, Some(w));
             }
         }
+        if let Some(k) = tk {
+            if best.is_none_or(|b| k < b) {
+                (src, best) = (2, Some(k));
+            }
+        }
         if let Some((_, l)) = lk {
             if best.is_none_or(|b| l < b) {
-                (src, best) = (2, Some(l));
+                (src, best) = (3, Some(l));
             }
         }
         best?;
@@ -727,9 +945,16 @@ impl<E> FastQueue<E> {
                 self.popped_sched_at = e.sched_at;
                 Some((e.time, e.payload))
             }
+            2 => {
+                self.live -= 1;
+                let ((time, sched_at, _), payload) = self.timers.pop()?;
+                self.now = time;
+                self.popped_sched_at = sched_at;
+                Some((time, payload))
+            }
             _ => {
                 let (i, _) = lk?;
-                let om = [hk, wk, lane_rest].into_iter().flatten().min();
+                let om = [hk, wk, tk, lane_rest].into_iter().flatten().min();
                 self.hot = Some((i, om));
                 self.pop_lane(i)
             }
@@ -801,8 +1026,9 @@ impl<E> FastQueue<E> {
 /// The original seed implementation: lazy cancellation through a
 /// `HashSet` of cancelled sequence numbers, probed on every peek/pop.
 /// Retained verbatim (including its cancel-after-pop leak) as the
-/// reference baseline; the engine never cancels events, so reference runs
-/// are behaviorally identical to the seed engine.
+/// reference baseline. It has no timer slots: `arm` is a plain
+/// `schedule` and `disarm` a no-op, so the engine's reference runs pop
+/// every superseded timer, as the seed engine did.
 struct ClassicQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
     next_seq: u64,
@@ -957,7 +1183,8 @@ impl<E> EventQueue<E> {
     /// fast queue this skips cancellation-slot bookkeeping entirely, so
     /// the pop path is a pure heap operation; on the classic queue it is
     /// a plain `schedule`. This is the engine's hot path: the simulator
-    /// retires stale events with epoch checks, not cancellation.
+    /// never cancels by handle (its re-armable timers use
+    /// [`arm`](Self::arm)).
     pub fn schedule_nocancel(&mut self, at: SimTime, payload: E) {
         match &mut self.imp {
             Imp::Fast(q) => q.schedule_nocancel(at, payload),
@@ -1020,6 +1247,52 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Make room for timer slots `0..n` (see [`arm`](Self::arm)), so
+    /// arming them never allocates. Optional: `arm` grows the slot map
+    /// on demand.
+    pub fn reserve_timer_slots(&mut self, n: usize) {
+        if let Imp::Fast(q) = &mut self.imp {
+            q.timers.reserve(n);
+        }
+    }
+
+    /// Arm re-armable timer slot `slot` to deliver `payload` at `at`,
+    /// replacing the entry the slot held, if any: the replaced entry
+    /// never pops. This is a per-CPU kernel timer's `hrtimer_start`,
+    /// which takes a pending expiry out of the queue before it enqueues
+    /// the new one. Slots are small dense indices chosen by the caller.
+    ///
+    /// The entry is keyed exactly as [`schedule_nocancel`] would key it:
+    /// it draws the next sequence number and is stamped with the current
+    /// sim time, so it pops in the same place among every other source's
+    /// events, and [`seq_mark`](Self::seq_mark) moves as for any schedule.
+    ///
+    /// Only the unsalted fast queue keeps the slot. The classic queue
+    /// treats `arm` as a plain `schedule`, and a salted fast queue as
+    /// `schedule_nocancel`, so both keep the superseded entry and pop
+    /// it. A caller must therefore still recognise a superseded entry
+    /// when it pops (the engine checks an epoch); the slot only saves
+    /// the pop.
+    ///
+    /// [`schedule_nocancel`]: Self::schedule_nocancel
+    pub fn arm(&mut self, slot: usize, at: SimTime, payload: E) {
+        match &mut self.imp {
+            Imp::Fast(q) => q.arm(slot, at, payload),
+            Imp::Classic(q) => {
+                q.schedule(at, payload);
+            }
+        }
+    }
+
+    /// Remove timer slot `slot`'s pending entry, if it has one. It draws
+    /// no sequence number. A no-op on the classic queue and on a salted
+    /// fast queue, which keep every armed entry (see [`arm`](Self::arm)).
+    pub fn disarm(&mut self, slot: usize) {
+        if let Imp::Fast(q) = &mut self.imp {
+            q.disarm(slot);
+        }
+    }
+
     /// Cancel a previously scheduled event. Returns `true` if the event
     /// was still pending (not yet popped or cancelled). On the fast queue
     /// this is exact and O(1): cancelling an already-popped event returns
@@ -1032,12 +1305,12 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Monotone counter advanced on every `schedule`/`schedule_periodic`
-    /// call (it is the queue's internal tie-break sequence). Two reads
-    /// returning the same value prove that *no event of any kind* was
-    /// scheduled in between, which callers use to detect that two entries
-    /// are adjacent among same-time events (see the engine's resched
-    /// coalescing).
+    /// Monotone counter advanced on every `schedule*` and
+    /// [`arm`](Self::arm) call (it is the queue's internal tie-break
+    /// sequence). Two reads returning the same value prove that *no
+    /// event of any kind* was scheduled in between, which callers use to
+    /// detect that two entries are adjacent among same-time events (see
+    /// the engine's resched coalescing).
     pub fn seq_mark(&self) -> u64 {
         match &self.imp {
             Imp::Fast(q) => q.next_seq,
@@ -1136,10 +1409,13 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Number of live events. Exact on the fast queue; on the classic
-    /// queue this is the legacy upper bound (heap entries including
-    /// not-yet-drained cancellations) — which is also why `is_empty`
-    /// needs `&mut self` and trips this lint.
+    /// Number of live events. Exact on the fast queue, where it counts
+    /// each armed timer slot once and no entry that re-arming or
+    /// disarming a slot superseded. On the classic queue this is the
+    /// legacy upper bound (heap entries including not-yet-drained
+    /// cancellations, and superseded slot entries) — which is also why
+    /// `is_empty` needs `&mut self` and trips this lint. A salted fast
+    /// queue also counts superseded slot entries, which it keeps.
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         match &self.imp {
@@ -1390,14 +1666,26 @@ mod tests {
         classic.set_tiebreak_salt(7);
         for i in 0..24 {
             let t = SimTime::from_nanos((i % 3) as u64);
-            if i % 2 == 0 {
-                fast.schedule(t, i);
-                classic.schedule(t, i);
-            } else {
-                fast.schedule_cadenced(t, 10, i);
-                classic.schedule_cadenced(t, 10, i);
+            match i % 4 {
+                0 => {
+                    fast.schedule(t, i);
+                    classic.schedule(t, i);
+                }
+                1 => {
+                    fast.schedule_cadenced(t, 10, i);
+                    classic.schedule_cadenced(t, 10, i);
+                }
+                2 => {
+                    fast.arm(i % 3, t, i);
+                    classic.arm(i % 3, t, i);
+                }
+                _ => {
+                    fast.disarm(i % 3);
+                    classic.disarm(i % 3);
+                }
             }
         }
+        assert_eq!(fast.len(), classic.len(), "both keep superseded entries");
         loop {
             let (a, b) = (fast.pop(), classic.pop());
             assert_eq!(a, b);
@@ -1461,6 +1749,196 @@ mod tests {
                 "salt {salt:#x}"
             );
             assert_eq!(q.popped_scheduled_at(), SimTime::from_nanos(600));
+        }
+    }
+
+    /// Arming an armed slot replaces its entry, earlier or later: only
+    /// the last arm pops, and `len` counts the slot once.
+    #[test]
+    fn arm_replaces_the_slots_entry() {
+        let mut q = EventQueue::new();
+        q.arm(0, SimTime::from_nanos(50), "first");
+        q.arm(1, SimTime::from_nanos(40), "other");
+        q.arm(0, SimTime::from_nanos(10), "earlier");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
+        q.arm(0, SimTime::from_nanos(90), "later");
+        assert_eq!(q.len(), 2);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            [
+                (SimTime::from_nanos(40), "other"),
+                (SimTime::from_nanos(90), "later")
+            ]
+        );
+        assert!(q.is_empty());
+        // A popped slot is empty again and can be re-armed.
+        q.arm(0, SimTime::from_nanos(95), "again");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(95), "again")));
+    }
+
+    /// Disarming removes the slot's entry without drawing a sequence
+    /// number; disarming an empty or never-armed slot does nothing.
+    #[test]
+    fn disarm_removes_and_a_second_disarm_is_a_noop() {
+        let mut q = EventQueue::new();
+        q.arm(2, SimTime::from_nanos(10), "dead");
+        q.schedule_nocancel(SimTime::from_nanos(20), "live");
+        let mark = q.seq_mark();
+        q.disarm(2);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.seq_mark(), mark, "disarm draws no sequence number");
+        q.disarm(2);
+        q.disarm(7);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(20)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "live")));
+        assert!(q.is_empty() && q.pop().is_none());
+    }
+
+    /// A slot entry keys exactly like a heap entry: a slot, a heap and a
+    /// lane entry due at the same nanosecond pop in insertion order,
+    /// whatever that order is.
+    #[test]
+    fn slot_heap_and_lane_ties_pop_in_seq_order() {
+        let t = SimTime::from_nanos(1_000);
+        let orders = [
+            ["slot", "heap", "lane"],
+            ["heap", "lane", "slot"],
+            ["lane", "slot", "heap"],
+        ];
+        for order in orders {
+            let mut q = EventQueue::new();
+            q.set_auto_cadence(true);
+            for src in order {
+                match src {
+                    "slot" => q.arm(0, t, src),
+                    "heap" => q.schedule_nocancel(t, src),
+                    _ => q.schedule_cadenced(t, 500, src),
+                }
+            }
+            let popped: Vec<_> = (0..3).filter_map(|_| q.pop()).map(|(_, p)| p).collect();
+            assert_eq!(popped, order);
+        }
+    }
+
+    /// Disarming leaves the hot-lane cache in place (it can only raise
+    /// the other sources' minimum), and pops stay in key order.
+    #[test]
+    fn hot_lane_cache_survives_a_disarm() {
+        let mut q = EventQueue::new();
+        q.set_auto_cadence(true);
+        q.schedule_cadenced(SimTime::from_nanos(100), 100, "tick");
+        q.arm(0, SimTime::from_nanos(250), "slot");
+        q.schedule_nocancel(SimTime::from_nanos(450), "heap");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(100), "tick")));
+        let hot = |q: &EventQueue<&str>| match &q.imp {
+            Imp::Fast(f) => f.hot,
+            Imp::Classic(_) => None,
+        };
+        assert_eq!(
+            hot(&q).map(|(_, om)| om.map(|k| k.0)),
+            Some(Some(SimTime::from_nanos(250)))
+        );
+        q.disarm(0);
+        assert!(hot(&q).is_some(), "disarm cleared the hot-lane cache");
+        let order: Vec<_> = (0..4)
+            .filter_map(|_| q.pop())
+            .map(|(t, _)| t.as_nanos())
+            .collect();
+        assert_eq!(order, [200, 300, 400, 450]);
+        assert!(hot(&q).is_none(), "the heap pop ended the lane's run");
+        assert_eq!(q.pop().map(|(t, _)| t.as_nanos()), Some(500));
+        assert!(hot(&q).is_some());
+        // Arming can lower another source's minimum, so it clears it.
+        q.arm(1, SimTime::from_nanos(550), "slot");
+        assert!(hot(&q).is_none(), "arm must clear the hot-lane cache");
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(550), "slot")));
+    }
+
+    /// Check the timer slots' heap order and slot → position map.
+    fn assert_timer_heap<E>(q: &EventQueue<E>) {
+        let Imp::Fast(f) = &q.imp else { return };
+        let t = &f.timers;
+        for i in 1..t.len {
+            assert!(
+                t.key_at((i - 1) / 2) <= t.key_at(i),
+                "heap order broken at {i}"
+            );
+        }
+        for i in 0..t.len {
+            let slot = t.cells[i].heap as usize;
+            assert_eq!(t.cells[slot].pos as usize, i, "position map broken at {i}");
+        }
+    }
+
+    /// Disarming a slot moves the last entry into its heap position.
+    /// An entry from the other subtree can be earlier than its new
+    /// parent, and must sift up.
+    #[test]
+    fn disarm_sifts_the_moved_entry_up() {
+        let mut q = EventQueue::new();
+        // Heap order after these arms: 1 | 50 10 | 60 70 20 30.
+        for (slot, t) in [1u64, 50, 10, 60, 70, 20, 30].into_iter().enumerate() {
+            q.arm(slot, SimTime::from_nanos(t), t);
+        }
+        assert_timer_heap(&q);
+        // 30 moves under 50.
+        q.disarm(3);
+        assert_timer_heap(&q);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        assert_eq!(order, [1, 10, 20, 30, 50, 70]);
+    }
+
+    /// The indexed heap against a naive model, driven by a fixed
+    /// pseudo-random sequence of arms, disarms and pops over a few
+    /// slots (no proptest, so it also runs under miri).
+    #[test]
+    fn timer_slots_match_a_naive_model() {
+        let mut q = EventQueue::new();
+        q.reserve_timer_slots(4);
+        // Per slot: the pending `(time, seq, payload)`.
+        let mut model: [Option<(u64, u64, u64)>; 12] = [None; 12];
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let (mut now, mut seq) = (0u64, 0u64);
+        for payload in 0..1_000u64 {
+            let r = next();
+            let slot = (r % 12) as usize;
+            match (r >> 8) % 4 {
+                0 | 1 => {
+                    // Ties are common: deltas come from a small range.
+                    let at = now + (r >> 16) % 8;
+                    q.arm(slot, SimTime::from_nanos(at), payload);
+                    model[slot] = Some((at, seq, payload));
+                    seq += 1;
+                }
+                2 => {
+                    q.disarm(slot);
+                    model[slot] = None;
+                }
+                _ => {
+                    let want = model
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(s, e)| e.map(|(t, k, p)| ((t, k), s, p)))
+                        .min();
+                    let got = q.pop().map(|(t, p)| (t.as_nanos(), p));
+                    assert_eq!(got, want.map(|((t, _), _, p)| (t, p)));
+                    if let Some(((t, _), s, _)) = want {
+                        model[s] = None;
+                        now = t;
+                    }
+                }
+            }
+            assert_eq!(q.len(), model.iter().flatten().count());
+            assert_timer_heap(&q);
         }
     }
 

@@ -7,7 +7,12 @@
 //! and the live-event count. Payloads are unique, so payload equality on
 //! every pop pins the *exact* global ordering, including FIFO among
 //! same-timestamp events scheduled through different paths (one-shot,
-//! no-cancel, periodic/wheel).
+//! no-cancel, periodic/wheel, cadence lane, timer slot).
+//!
+//! Timer slots: arming a slot supersedes the slot's pending entry and
+//! appends a new one; disarming supersedes it. The fast queue never pops
+//! a superseded entry. The classic queue keeps them, so it must pop the
+//! model's sequence with exactly the superseded entries interleaved.
 
 use oversub_simcore::{EventHandle, EventQueue, SimTime};
 use proptest::prelude::*;
@@ -26,8 +31,15 @@ enum Op {
     ScheduleCadenced(u64, usize),
     /// Cancel the k-th handle ever returned (modulo how many exist).
     Cancel(usize),
+    /// Arm timer slot `slot` at `now + delta`.
+    Arm(usize, u64),
+    /// Disarm timer slot `slot`.
+    Disarm(usize),
     Pop,
 }
+
+/// Timer slots the `Arm`/`Disarm` ops draw from.
+const SLOTS: usize = 4;
 
 /// Cadences for `ScheduleCadenced`: below a wheel bucket, a typical
 /// timer interval, and beyond the wheel horizon.
@@ -45,6 +57,10 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             ((0u64..100_000_000), (0usize..CADENCES.len()))
                 .prop_map(|(d, i)| Op::ScheduleCadenced(d, i)),
             (0usize..64).prop_map(Op::Cancel),
+            // Small deltas make slot entries tie with the other sources.
+            ((0usize..SLOTS), prop_oneof![0u64..4, 0u64..100_000_000])
+                .prop_map(|(s, d)| Op::Arm(s, d)),
+            (0usize..SLOTS).prop_map(Op::Disarm),
             Just(Op::Pop),
             Just(Op::Pop),
         ],
@@ -56,14 +72,19 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 enum ModelState {
     Pending,
     Cancelled,
+    /// A slot entry that a later arm or a disarm replaced. Only the
+    /// classic queue still holds it.
+    Superseded,
     Popped,
 }
 
 struct Model {
-    /// One entry per schedule call, in seq (= insertion) order.
+    /// One entry per schedule or arm call, in seq (= insertion) order.
     entries: Vec<(u64, u64, ModelState)>, // (time, payload, state)
     /// Indices of entries that came from cancellable `schedule` calls.
     handles: Vec<usize>,
+    /// Per timer slot: the index of its entry, if any was armed.
+    slots: [Option<usize>; SLOTS],
 }
 
 impl Model {
@@ -71,7 +92,43 @@ impl Model {
         Model {
             entries: Vec::new(),
             handles: Vec::new(),
+            slots: [None; SLOTS],
         }
+    }
+
+    /// Supersede `slot`'s entry if it is still pending.
+    fn disarm(&mut self, slot: usize) {
+        if let Some(idx) = self.slots[slot] {
+            if self.entries[idx].2 == ModelState::Pending {
+                self.entries[idx].2 = ModelState::Superseded;
+            }
+        }
+    }
+
+    fn arm(&mut self, slot: usize, at: u64, payload: u64) {
+        self.disarm(slot);
+        self.entries.push((at, payload, ModelState::Pending));
+        self.slots[slot] = Some(self.entries.len() - 1);
+    }
+
+    /// Pop a superseded entry the classic queue returned (identified by
+    /// its unique payload); false if it is not one.
+    fn pop_superseded(&mut self, payload: u64) -> bool {
+        match self.entries.iter_mut().find(|e| e.1 == payload) {
+            Some(e) if e.2 == ModelState::Superseded => {
+                e.2 = ModelState::Popped;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Entries a queue that keeps superseded slot entries still holds.
+    fn held(&self) -> usize {
+        self.entries
+            .iter()
+            .filter(|e| matches!(e.2, ModelState::Pending | ModelState::Superseded))
+            .count()
     }
 
     fn schedule(&mut self, at: u64, payload: u64, cancellable: bool) {
@@ -113,11 +170,13 @@ impl Model {
 }
 
 /// `exact` asserts the slab queue's strengthened contract: exact `len()`
-/// at all times and exact `cancel()` return values. The classic queue
-/// only promises the seed's weaker one — `len()` is an upper bound until
-/// cancelled entries drain past the heap top, and cancelling an
-/// already-popped handle may spuriously report success (it cannot tell
-/// popped from pending; the slab's generation check can).
+/// at all times, exact `cancel()` return values, and superseded slot
+/// entries never popped. The classic queue only promises the seed's
+/// weaker one — `len()` is an upper bound until cancelled entries drain
+/// past the heap top, and cancelling an already-popped handle may
+/// spuriously report success (it cannot tell popped from pending; the
+/// slab's generation check can) — and keeps superseded slot entries: a
+/// model pop on it skips exactly those, each popped in its own place.
 fn check_against_model(mut q: EventQueue<u64>, ops: Vec<Op>, exact: bool) {
     let mut model = Model::new();
     let mut handles: Vec<EventHandle> = Vec::new();
@@ -146,6 +205,15 @@ fn check_against_model(mut q: EventQueue<u64>, ops: Vec<Op>, exact: bool) {
                 model.schedule(now + d, next_payload, false);
                 next_payload += 1;
             }
+            Op::Arm(slot, d) => {
+                q.arm(slot, SimTime::from_nanos(now + d), next_payload);
+                model.arm(slot, now + d, next_payload);
+                next_payload += 1;
+            }
+            Op::Disarm(slot) => {
+                q.disarm(slot);
+                model.disarm(slot);
+            }
             Op::Cancel(k) => {
                 if !handles.is_empty() {
                     let k = k % handles.len();
@@ -159,7 +227,7 @@ fn check_against_model(mut q: EventQueue<u64>, ops: Vec<Op>, exact: bool) {
                 }
             }
             Op::Pop => {
-                let got = q.pop().map(|(t, p)| (t.as_nanos(), p));
+                let got = pop_live(&mut q, &mut model, exact);
                 let want = model.pop();
                 prop_assert_eq!(got, want, "pop order diverged");
                 if let Some((t, _)) = got {
@@ -169,18 +237,35 @@ fn check_against_model(mut q: EventQueue<u64>, ops: Vec<Op>, exact: bool) {
         }
         if exact {
             prop_assert_eq!(q.len(), model.live(), "live count diverged");
+            prop_assert_eq!(q.is_empty(), model.live() == 0);
         } else {
-            prop_assert!(q.len() >= model.live(), "classic len below live count");
+            prop_assert!(q.len() >= model.held(), "classic len below held count");
+            prop_assert_eq!(q.is_empty(), model.held() == 0);
         }
-        prop_assert_eq!(q.is_empty(), model.live() == 0);
     }
     // Drain: the tail order must match too.
     loop {
-        let got = q.pop().map(|(t, p)| (t.as_nanos(), p));
+        let got = pop_live(&mut q, &mut model, exact);
         let want = model.pop();
         prop_assert_eq!(got, want, "drain order diverged");
         if got.is_none() {
             break;
+        }
+    }
+    if !exact {
+        prop_assert_eq!(model.held(), 0, "classic queue lost a superseded entry");
+    }
+}
+
+/// Pop `q`'s next entry the model holds live. With `exact` that is
+/// simply the next pop; otherwise superseded slot entries popped on the
+/// way are checked against the model and skipped.
+fn pop_live(q: &mut EventQueue<u64>, model: &mut Model, exact: bool) -> Option<(u64, u64)> {
+    loop {
+        let got = q.pop().map(|(t, p)| (t.as_nanos(), p));
+        match got {
+            Some((_, p)) if !exact && model.pop_superseded(p) => continue,
+            _ => return got,
         }
     }
 }

@@ -315,6 +315,39 @@ fn zero_balance_interval_is_rejected_without_a_panic() {
     }
 }
 
+/// With a zero `min_granularity_ns` and a target latency below the
+/// runqueue length, the CFS slice is zero: a busy CPU's slice timer
+/// re-expires at the same instant forever, and the run sits at one
+/// sim time until its event budget runs out. `validate()` must refuse
+/// the config, so `try_run` returns at once instead of spinning.
+#[test]
+fn zero_slice_is_rejected_without_a_hang() {
+    let mut cfg = RunConfig::vanilla(4)
+        .with_seed(1)
+        .with_max_time(SimTime::from_millis(50))
+        .with_max_events(2_000_000);
+    cfg.sched.target_latency_ns = 0;
+    cfg.sched.min_granularity_ns = 0;
+    let err = cfg.validate().expect_err("validate() must reject it");
+    assert!(
+        err.contains("min_granularity_ns"),
+        "unexpected message: {err}"
+    );
+    let profile = BenchProfile::by_name("streamcluster").expect("streamcluster profile");
+    let mut wl = Skeleton::scaled(profile, 4, 0.05);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run(&mut wl, &cfg)));
+    match outcome {
+        Ok(Err(EngineError::InvalidConfig(msg))) => assert_eq!(msg, err),
+        Ok(Err(e)) => panic!("wrong error: {e}"),
+        Ok(Ok(r)) => panic!(
+            "try_run accepted a zero slice (makespan {} ns, diagnostics {:?})",
+            r.makespan_ns,
+            r.diagnostics.iter().map(|d| &d.kind).collect::<Vec<_>>()
+        ),
+        Err(_) => panic!("try_run panicked instead of returning an error"),
+    }
+}
+
 /// A BWD check that costs as much as its own interval would book more
 /// kernel time than the CPUs have: `try_run` must refuse the config.
 #[test]

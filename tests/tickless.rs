@@ -11,7 +11,9 @@
 //!   whether the tick at that instant counts. Each searches for its
 //!   timing first and asserts it was hit, so it cannot pass vacuously.
 //! - The differential sweep covers workload families that keep waking
-//!   idle cores. `differential_sweep_heavy` is the long version
+//!   idle cores, plus PAUSE-loop spinners in a VM, whose PLE spin exits
+//!   live in re-armable timer slots (DESIGN.md §14.6).
+//!   `differential_sweep_heavy` is the long version
 //!   (`cargo test --release --test tickless -- --ignored`, about a minute).
 
 use oversub::hw::CpuId;
@@ -365,6 +367,28 @@ fn differential_sweep(s: &Scale) {
                     &format!("{}/{threads}T/{cpus}c/seed{seed}", prim.label()),
                 );
             }
+        }
+        // PAUSE-loop spinners in a VM, where PLE arms spin exits. With
+        // BWD as well, a tick on a spinner shifts its segment, which
+        // re-arms the pending exit.
+        let bwd_ple = Mechanisms {
+            ple: true,
+            ..Mechanisms::bwd_only()
+        };
+        for (mech, name) in [(Mechanisms::ple_only(), "ple"), (bwd_ple, "bwd+ple")] {
+            let cfg = RunConfig::vanilla(8)
+                .with_machine(MachineSpec::PaperN(8))
+                .with_mech(mech)
+                .with_seed(seed)
+                .in_vm();
+            let label = format!("spin-vm/malth/16T/8c/{name}/seed{seed}");
+            let (report, _, _) = assert_same(
+                || Box::new(SpinlockStress::fig13(16, SpinPolicy::malth(), 200)),
+                &cfg,
+                &label,
+            );
+            let exits = report.mech("ple").map_or(0, |m| m.spin_exits);
+            assert!(exits > 0, "{label}: no PLE spin exit fired");
         }
     }
 }
