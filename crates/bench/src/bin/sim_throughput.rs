@@ -1,7 +1,7 @@
 //! Simulator throughput benchmark: events/sec and wall-clock of the
-//! optimized engine (slab-cancellation queue + timer wheel, re-armable
-//! timer slots, cached picks, resched coalescing, idle-quiet timer
-//! dispatch, tickless idle) versus
+//! optimized engine (slab-cancellation queue with cadence lanes and
+//! re-armable timer slots, cached picks, resched coalescing, idle-quiet
+//! timer dispatch, tickless idle) versus
 //! the reference engine (classic heap+HashSet queue, uncached scans, no
 //! coalescing, every tick simulated) on representative workloads. Both
 //! engines produce bit-identical *report metrics* — see
@@ -95,7 +95,7 @@ fn arms() -> Vec<Arm> {
     let mut v = Vec::new();
 
     // Server workload: futex/epoll heavy, 19 CPUs, periodic BWD timers on
-    // every CPU make the timer wheel earn its keep.
+    // every CPU keep the cadence lanes busy.
     let cpus = Memcached::paper(16, 8, 60_000.0).total_cpus();
     v.push(Arm {
         name: "memcached/16T/8c",
@@ -122,8 +122,8 @@ fn arms() -> Vec<Arm> {
 
     // Tick-dominated: 8 threads on a 64-CPU machine. Most cores sit idle
     // and the event mix is dominated by periodic BWD timers and balance
-    // passes — the timer wheel's cadence, plus the waiter-board O(1)
-    // early-outs for idle_pull and periodic_balance.
+    // passes — tickless idle and the cadence lanes, plus the waiter-board
+    // O(1) early-outs for idle_pull and periodic_balance.
     v.push(Arm {
         name: "skeleton/streamcluster/8T/64c",
         cfg: RunConfig::vanilla(64)

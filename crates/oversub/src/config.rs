@@ -212,9 +212,12 @@ pub struct RunConfig {
     /// default) keeps FIFO order on equal-time events — the byte-pinned
     /// production order. Non-zero values permute equal-time pops through
     /// a bijective mix of the insertion sequence number, which is how the
-    /// schedule-robustness certifier perturbs schedules; such runs also
-    /// disable the resched-coalescing and cadence-lane fast paths (their
-    /// correctness proofs assume FIFO ties).
+    /// schedule-robustness certifier perturbs schedules. Only the classic
+    /// event queue implements the permutation, so salted runs use it:
+    /// no cadence lanes, no timer slots (superseded timers pop and fail
+    /// their epoch check) and no tickless idle, whose tie rule needs the
+    /// fast queue's scheduled-at keys. The rest of the optimized engine,
+    /// resched coalescing included, stays on.
     pub schedule_salt: u64,
 }
 

@@ -98,12 +98,13 @@ impl Engine {
     /// Ticks of a lapsed timer that fire before the returned time are
     /// due by the event being handled.
     ///
-    /// Under auto-rotation the tick at `T` draws its sequence number
-    /// when the tick at `T − I` pops. So an event due at the same `now`
-    /// as a tick pops before that tick if and only if it was scheduled
-    /// at or before `now − I`. The one case this cannot decide is an
-    /// event scheduled at exactly `now − I`; it is placed before the tick
-    /// (DESIGN.md §14.4).
+    /// A ticking timer re-arms as its handler's first schedule call, so
+    /// the tick at `T` draws its sequence number right after the tick at
+    /// `T − I` pops. So an event due at the same `now` as a tick pops
+    /// before that tick if and only if it was scheduled at or before
+    /// `now − I`. The one case this cannot decide is an event scheduled
+    /// at exactly `now − I`; it is placed before the tick (DESIGN.md
+    /// §14.4).
     pub(crate) fn tick_horizon(&self, tl: Tickless) -> SimTime {
         if self.queue.popped_scheduled_at() + tl.interval_ns > self.now {
             self.now + 1
@@ -137,9 +138,9 @@ impl Engine {
 
     /// Re-arm `cpu`'s lapsed timer at its next cadence point `T*`, keyed
     /// as though the tick at `T* − I` had drawn it, like the ticking
-    /// timer. Re-arms go on the heap: through the wheel they would leave
-    /// capacity behind in its buckets (DESIGN.md §14.4). Call once the
-    /// skipped ticks are settled.
+    /// timer. The back-dated key can sort before entries already in the
+    /// timer's cadence lane, so the re-arm goes on the heap (DESIGN.md
+    /// §14.4). Call once the skipped ticks are settled.
     pub(crate) fn rearm_lapsed_tick(&mut self, cpu: usize) {
         let Some(tl) = self.tickless else { return };
         let next = std::mem::replace(&mut self.dormant_at[cpu], SimTime::NEVER);
@@ -347,15 +348,12 @@ impl Engine {
     }
 
     pub(crate) fn on_balance(&mut self, cpu: usize) {
-        // Skipped when the queue's auto-cadence rotation already re-armed
-        // this timer during the pop (identical `(time, seq)` key).
-        if !self.queue.last_pop_rotated() {
-            self.queue.schedule_cadenced(
-                self.now + self.cfg.sched.balance_interval_ns,
-                self.cfg.sched.balance_interval_ns,
-                Event::Balance(cpu),
-            );
-        }
+        // Re-arm first, as the handler's first schedule call.
+        self.queue.schedule_cadenced(
+            self.now + self.cfg.sched.balance_interval_ns,
+            self.cfg.sched.balance_interval_ns,
+            Event::Balance(cpu),
+        );
         if !self.sched.online[cpu] {
             return;
         }

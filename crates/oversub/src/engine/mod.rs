@@ -172,8 +172,8 @@ pub(crate) enum Event {
 /// ([`EventQueue::arm`]): arming one replaces its pending expiry, and
 /// retiring the stint or segment it belongs to disarms it
 /// ([`Engine::retire_stint`], [`Engine::retire_segment`]). Their events
-/// keep their epochs, because the reference engine's classic queue and
-/// salted queues still pop superseded ones.
+/// keep their epochs, because the classic queue, which reference and
+/// salted runs use, still pops superseded ones.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Timer {
     /// The stint's slice expiry ([`Event::Slice`]).
@@ -212,8 +212,8 @@ pub(crate) struct Epochs {
 ///
 /// Handler buckets include the event-queue *inserts* those handlers make
 /// (a resched handler's slice arming, a timer handler's re-arm): the
-/// `queue_pop_ns` bucket isolates the pop/peek side, which is where the
-/// fast queue's wheel and slab live.
+/// `queue_pop_ns` bucket isolates the pop/peek side: the fast queue's
+/// search over its heap, cadence lanes and timer slots.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseProfile {
     /// Popping the event queue (drain-cancelled + peek + pop).
@@ -253,8 +253,8 @@ const DEFAULT_CAP: SimTime = SimTime(600 * oversub_simcore::SECS);
 /// The monitoring tick that tickless idle lets lapse on idle cores.
 ///
 /// Armed only where an idle, quiet core's tick is a pure constant: the
-/// optimized engine, no faults, no tie-break salt, and exactly one
-/// mechanism with a timer, whose
+/// fast queue (the optimized engine without a tie-break salt), no
+/// faults, and exactly one mechanism with a timer, whose
 /// [`Mechanism::idle_quiet_constant`](crate::mechanism::Mechanism::idle_quiet_constant)
 /// is `Some(charge)` with `charge <= interval`. On such a core nothing
 /// the tick reads can change until a task starts there, so every
@@ -394,6 +394,14 @@ impl Engine {
         // Build the mechanism pipeline and let it configure the kernel
         // substrate (VB flips the futex/epoll/scheduler flags here).
         let mut mechs = MechanismSet::from_config(&cfg);
+        // `validate()` cannot see a custom mechanism's timer, and the tick
+        // staggering below divides by every interval.
+        if let Some(&(idx, _)) = mechs.timers().iter().find(|&&(_, ns)| ns == 0) {
+            return Err(EngineError::InvalidConfig(format!(
+                "mechanism `{}` has a zero timer interval (its ticks would never advance)",
+                mechs.get_mut(idx).name()
+            )));
+        }
         let sub = mechs.configure_substrate();
 
         let topo = cfg.machine.topology();
@@ -471,17 +479,15 @@ impl Engine {
                 *c = VClock::zeroed(n);
             }
         }
-        let mut queue = if reference {
+        // Certifier runs permute equal-time same-burst ties, which only
+        // the classic queue implements.
+        let mut queue = if cfg.schedule_salt != 0 {
+            EventQueue::classic_salted(cfg.schedule_salt)
+        } else if reference {
             EventQueue::classic()
         } else {
             EventQueue::new()
         };
-        if cfg.schedule_salt != 0 {
-            // Certifier runs permute equal-time same-burst ties; the
-            // wheel/lane/slot fast paths order by raw insertion sequence,
-            // so the salt also routes everything through the plain heap.
-            queue.set_tiebreak_salt(cfg.schedule_salt);
-        }
         let ncpu = topo.num_cpus();
         // Timers are armed only where tasks run, and tasks start on the
         // first CPUs; a task that moves beyond them grows the slot map.
@@ -493,15 +499,15 @@ impl Engine {
             .map(|i| mechs.idle_quiet_constant(i))
             .collect();
         let pending_idle_checks = vec![0u64; mechs.len()];
+        // Tickless idle's tie rule needs the fast queue's scheduled-at keys.
         let tickless = match mechs.timers().as_slice() {
-            &[(mech, interval_ns)] if !reference && faults.is_none() && cfg.schedule_salt == 0 => {
-                idle_quiet_charge[mech]
-                    .filter(|&charge_ns| charge_ns <= interval_ns)
-                    .map(|charge_ns| Tickless {
-                        mech,
-                        interval_ns,
-                        charge_ns,
-                    })
+            &[(mech, interval_ns)] if !queue.is_classic() && faults.is_none() => {
+                let charge = idle_quiet_charge[mech].filter(|&ns| ns <= interval_ns);
+                charge.map(|charge_ns| Tickless {
+                    mech,
+                    interval_ns,
+                    charge_ns,
+                })
             }
             _ => None,
         };
@@ -606,16 +612,6 @@ impl Engine {
         }
         if eng.cfg.max_time.is_some() {
             eng.queue.schedule_nocancel(end_cap, Event::Stop);
-        }
-        // Auto-cadence rotation: in fault-free optimized runs every
-        // cadenced re-arm is deterministic — `now + interval`, issued as
-        // the handler's first schedule call after the pop — so the queue
-        // performs it during the pop itself and the handlers skip their
-        // explicit re-arm when `last_pop_rotated()` reports it done.
-        // Fault runs keep the explicit path (jitter and drops perturb the
-        // re-arm point), as does the reference engine.
-        if !eng.reference && eng.faults.is_none() && eng.cfg.schedule_salt == 0 {
-            eng.queue.set_auto_cadence(true);
         }
         Ok(eng)
     }

@@ -33,39 +33,36 @@ impl Engine {
             && self.sched.online[cpu]
             && !self.sched.is_active(CpuId(cpu))
             && self.sched.cpus[cpu].hw.window_untouched();
-        let rotated = self.queue.last_pop_rotated();
         // Tickless idle: until a task starts here, every later tick would
         // take this same constant path. So the timer lapses instead of
-        // re-arming (a rotation the queue already made is taken back),
-        // and the skipped ticks are settled when the CPU is next touched.
+        // re-arming, and the skipped ticks are settled when the CPU is
+        // next touched.
         if let Some(tl) = self.tickless {
-            if idle_quiet && (!rotated || self.queue.undo_rotation()) {
+            if idle_quiet {
                 self.pending_idle_checks[idx] += 1;
                 self.sched.cpus[cpu].account_idle_ticks(self.now, 1, interval_ns, tl.charge_ns);
                 self.dormant_at[cpu] = self.now + interval_ns;
                 return;
             }
         }
-        // Re-arm first so detection handling cannot drop the timer. An
-        // injected drop still re-arms (the interrupt is lost, not the
-        // timer); injected jitter perturbs the re-arm point. Under
-        // auto-cadence (fault-free optimized runs) the queue already
-        // rotated this timer one interval ahead during the pop — the
-        // re-arm below would compute the identical `(time, seq)` key.
-        if !rotated {
-            let mut rearm_at = self.now + interval_ns;
-            let mut dropped = false;
-            if let Some(f) = self.faults.as_mut() {
-                dropped = f.drop_timer();
-                if !dropped {
-                    rearm_at += f.timer_jitter();
-                }
+        // Re-arm first, as the handler's first schedule call, so
+        // detection handling cannot drop the timer and the tick at `T`
+        // draws its sequence number right after the tick at `T − I`
+        // pops (tickless idle's tie rule relies on it). An injected drop
+        // still re-arms (the interrupt is lost, not the timer); injected
+        // jitter perturbs the re-arm point.
+        let mut rearm_at = self.now + interval_ns;
+        let mut dropped = false;
+        if let Some(f) = self.faults.as_mut() {
+            dropped = f.drop_timer();
+            if !dropped {
+                rearm_at += f.timer_jitter();
             }
-            self.queue
-                .schedule_cadenced(rearm_at, interval_ns, Event::MechTimer(idx, cpu));
-            if dropped {
-                return;
-            }
+        }
+        self.queue
+            .schedule_cadenced(rearm_at, interval_ns, Event::MechTimer(idx, cpu));
+        if dropped {
+            return;
         }
         if !self.sched.online[cpu] {
             return;

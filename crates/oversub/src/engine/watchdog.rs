@@ -90,15 +90,12 @@ impl Engine {
     /// The liveness watchdog sweep.
     pub(crate) fn on_watchdog(&mut self) {
         let Some(wd) = self.watchdog else { return };
-        // Skipped when the queue's auto-cadence rotation already re-armed
-        // this timer during the pop (identical `(time, seq)` key).
-        if !self.queue.last_pop_rotated() {
-            self.queue.schedule_cadenced(
-                self.now + wd.check_interval_ns,
-                wd.check_interval_ns,
-                Event::Watchdog,
-            );
-        }
+        // Re-arm first, as the handler's first schedule call.
+        self.queue.schedule_cadenced(
+            self.now + wd.check_interval_ns,
+            wd.check_interval_ns,
+            Event::Watchdog,
+        );
 
         // 1. Lost-wakeup orphans: a VB-parked task whose park has aged past
         //    the timeout and that no futex/epoll waker still points at can

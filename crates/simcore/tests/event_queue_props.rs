@@ -2,12 +2,13 @@
 //!
 //! The model keeps every scheduled entry as `(time, seq, payload, state)`
 //! and pops the minimum `(time, seq)` among pending entries. Both queue
-//! flavors — the optimized slab/wheel queue and the classic heap+HashSet
-//! reference — must match it exactly: pop order, cancel return values,
-//! and the live-event count. Payloads are unique, so payload equality on
-//! every pop pins the *exact* global ordering, including FIFO among
-//! same-timestamp events scheduled through different paths (one-shot,
-//! no-cancel, periodic/wheel, cadence lane, timer slot).
+//! flavors — the optimized heap/lane/slot queue and the classic
+//! heap+HashSet reference — must match it exactly: pop order, cancel
+//! return values, and the live-event count. Payloads are unique, so
+//! payload equality on every pop pins the *exact* global ordering,
+//! including FIFO among same-timestamp events scheduled through different
+//! paths (one-shot, no-cancel, cadence lane or its heap fallback, timer
+//! slot).
 //!
 //! Timer slots: arming a slot supersedes the slot's pending entry and
 //! appends a new one; disarming supersedes it. The fast queue never pops
@@ -23,8 +24,6 @@ enum Op {
     Schedule(u64),
     /// Hot-path one-shot without a cancellation handle.
     ScheduleNocancel(u64),
-    /// Periodic-cadence entry (wheel-eligible when near, heap when far).
-    SchedulePeriodic(u64),
     /// Declared-cadence entry (FIFO lane when monotone, else fallback).
     /// The index selects from a small set of intervals so several pushes
     /// share a lane and non-monotone pushes exercise the fallback.
@@ -41,19 +40,17 @@ enum Op {
 /// Timer slots the `Arm`/`Disarm` ops draw from.
 const SLOTS: usize = 4;
 
-/// Cadences for `ScheduleCadenced`: below a wheel bucket, a typical
-/// timer interval, and beyond the wheel horizon.
+/// Cadences for `ScheduleCadenced`: short, a typical timer interval, and
+/// long, so the lanes see re-arm-like pushes beside random ones.
 const CADENCES: [u64; 3] = [8_192, 100_000, 40_000_000];
 
-/// Deltas span the wheel's bucket size (2^15 ns) and its full horizon
-/// (2^15 ns × 1024 buckets ≈ 33.6 ms) so entries land in the current
-/// bucket, later buckets, and the far-future heap fallback.
+/// Deltas reach 100 ms, well past every cadence, so cadenced pushes are
+/// often not monotone against their lane and exercise the heap fallback.
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
             (0u64..100_000_000).prop_map(Op::Schedule),
             (0u64..100_000_000).prop_map(Op::ScheduleNocancel),
-            (0u64..100_000_000).prop_map(Op::SchedulePeriodic),
             ((0u64..100_000_000), (0usize..CADENCES.len()))
                 .prop_map(|(d, i)| Op::ScheduleCadenced(d, i)),
             (0usize..64).prop_map(Op::Cancel),
@@ -195,11 +192,6 @@ fn check_against_model(mut q: EventQueue<u64>, ops: Vec<Op>, exact: bool) {
                 model.schedule(now + d, next_payload, false);
                 next_payload += 1;
             }
-            Op::SchedulePeriodic(d) => {
-                q.schedule_periodic(SimTime::from_nanos(now + d), next_payload);
-                model.schedule(now + d, next_payload, false);
-                next_payload += 1;
-            }
             Op::ScheduleCadenced(d, i) => {
                 q.schedule_cadenced(SimTime::from_nanos(now + d), CADENCES[i], next_payload);
                 model.schedule(now + d, next_payload, false);
@@ -273,7 +265,7 @@ fn pop_live(q: &mut EventQueue<u64>, model: &mut Model, exact: bool) -> Option<(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// The optimized slab + timer-wheel queue matches the naive model.
+    /// The optimized heap + lane + slot queue matches the naive model.
     #[test]
     fn fast_queue_matches_model(ops in arb_ops()) {
         check_against_model(EventQueue::new(), ops, true);
@@ -286,26 +278,21 @@ proptest! {
         check_against_model(EventQueue::classic(), ops, false);
     }
 
-    /// Auto-cadence rotation is invisible: a fast queue that re-arms
-    /// cadenced timers during the pop (`set_auto_cadence(true)` +
-    /// rotation-aware caller) pops the identical `(time, payload)` stream
-    /// as a classic queue whose caller re-arms explicitly — the engine's
-    /// re-arm-first contract, under which the rotation allocates exactly
-    /// the sequence number the explicit re-arm would have.
+    /// Timers that re-arm one interval after each fire, as the engine's
+    /// handlers do, pop the identical `(time, payload)` stream from the
+    /// fast queue (mostly lane appends) as from the classic queue.
     #[test]
-    fn auto_cadence_rotation_matches_explicit_rearm(
+    fn cadenced_rearms_match_classic(
         // (timer id, initial stagger) pairs; ids pick one of CADENCES.
         timers in proptest::collection::vec(
             ((0usize..CADENCES.len()), (0u64..200_000)), 1..24),
-        // Interleaved one-shot noise: (delta, count) batches.
+        // Interleaved one-shot noise.
         noise in proptest::collection::vec(0u64..300_000, 0..16),
         pops in 32usize..256,
     ) {
         let mut fast = EventQueue::new();
         let mut classic = EventQueue::classic();
-        fast.set_auto_cadence(true);
-        // Payload encodes the timer's identity: rotation clones it, the
-        // explicit path re-schedules it, and one-shot noise gets ids
+        // Payload encodes the timer's identity; one-shot noise gets ids
         // past the timer range.
         for (k, &(i, stagger)) in timers.iter().enumerate() {
             let at = SimTime::from_nanos(CADENCES[i] + stagger);
@@ -322,18 +309,11 @@ proptest! {
             let want = classic.pop();
             prop_assert_eq!(got, want, "pop streams diverged");
             let Some((t, p)) = got else { break };
-            // Engine contract: a popped cadenced timer re-arms first,
-            // unless the queue reports it already rotated it.
+            // A popped timer re-arms first, one interval later.
             if let Some(&(i, _)) = timers.get(p as usize) {
                 let at = t + CADENCES[i];
-                if !fast.last_pop_rotated() {
-                    fast.schedule_cadenced(at, CADENCES[i], p);
-                }
-                prop_assert!(!classic.last_pop_rotated());
+                fast.schedule_cadenced(at, CADENCES[i], p);
                 classic.schedule_cadenced(at, CADENCES[i], p);
-            } else {
-                // One-shot noise must never be reported as rotated.
-                prop_assert!(!fast.last_pop_rotated());
             }
         }
     }

@@ -22,8 +22,8 @@ use oversub::workloads::micro::{Primitive, PrimitiveStress};
 use oversub::workloads::pipeline::{SpinPipeline, WaitFlavor};
 use oversub::workloads::skeletons::{BenchProfile, Skeleton};
 use oversub::{
-    run, try_run, EngineError, FaultPlan, MachineSpec, Mechanisms, RunConfig, RunReport,
-    WatchdogParams,
+    run, try_run, EngineError, FaultPlan, MachineSpec, MechCounters, Mechanism, Mechanisms,
+    RunConfig, RunReport, WatchdogParams,
 };
 use proptest::prelude::*;
 
@@ -311,6 +311,47 @@ fn zero_balance_interval_is_rejected_without_a_panic() {
         Ok(Err(EngineError::InvalidConfig(msg))) => assert_eq!(msg, err),
         Ok(Err(e)) => panic!("wrong error: {e}"),
         Ok(Ok(_)) => panic!("try_run accepted a zero balance interval"),
+        Err(_) => panic!("try_run panicked instead of returning an error"),
+    }
+}
+
+/// A timer interval the config cannot show: an out-of-tree mechanism
+/// whose `timer_interval_ns()` is `Some(0)` passes `validate()`, and the
+/// engine divides by every interval when it staggers the first ticks.
+/// `try_run` must refuse the mechanism before any tick is armed.
+#[test]
+fn zero_period_custom_timer_is_rejected_without_a_panic() {
+    struct ZeroTick;
+    impl Mechanism for ZeroTick {
+        fn name(&self) -> &'static str {
+            "zero-tick"
+        }
+        fn timer_interval_ns(&self) -> Option<u64> {
+            Some(0)
+        }
+        fn counters(&self) -> MechCounters {
+            MechCounters::named("zero-tick")
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+    }
+    let cfg = RunConfig::vanilla(4)
+        .with_machine(MachineSpec::PaperN(4))
+        .with_mechanism(|| Box::new(ZeroTick));
+    assert!(
+        cfg.validate().is_ok(),
+        "the interval is invisible to validate()"
+    );
+    let mut wl = SpinPipeline::new(8, 20, WaitFlavor::Flags);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run(&mut wl, &cfg)));
+    match outcome {
+        Ok(Err(EngineError::InvalidConfig(msg))) => assert!(
+            msg.contains("zero-tick") && msg.contains("zero timer interval"),
+            "unexpected message: {msg}"
+        ),
+        Ok(Err(e)) => panic!("wrong error: {e}"),
+        Ok(Ok(_)) => panic!("try_run accepted a zero timer interval"),
         Err(_) => panic!("try_run panicked instead of returning an error"),
     }
 }

@@ -1,12 +1,15 @@
 //! Golden determinism test for the engine hot-path overhaul.
 //!
-//! The optimized engine (slab-cancellation event queue + timer wheel,
-//! cached runqueue picks, resched coalescing) must produce **bit-identical
-//! metrics** to the reference engine (classic heap+HashSet queue, uncached
-//! scans, no coalescing) on every workload class the tier-1 suite covers.
-//! Reports are compared through their canonical JSON serialization, which
-//! is integer-exact, so equality here means every counter, histogram
-//! bucket, and timing field matches to the last bit.
+//! The optimized engine (slab-cancellation event queue with cadence lanes
+//! and timer slots, tickless idle, cached runqueue picks, resched
+//! coalescing) must produce **bit-identical metrics** to the reference
+//! engine (classic heap+HashSet queue, uncached scans, no coalescing) on
+//! every workload class the tier-1 suite covers. Reports are compared
+//! through their canonical JSON serialization, which is integer-exact, so
+//! equality here means every counter, histogram bucket, and timing field
+//! matches to the last bit. Each golden also pins both engines' event
+//! counts, and `salted_reports_are_pinned` pins the certifier's salted
+//! schedules.
 
 use oversub::ksync::WaitMode;
 use oversub::metrics::MechCounters;
@@ -14,12 +17,13 @@ use oversub::simcore::SimTime;
 use oversub::task::{SpinSig, TaskId};
 use oversub::workload::Workload;
 use oversub::workloads::memcached::Memcached;
+use oversub::workloads::micro::{Primitive, PrimitiveStress};
 use oversub::workloads::pipeline::{SpinPipeline, WaitFlavor};
 use oversub::workloads::skeletons::{BenchProfile, Skeleton};
 use oversub::workloads::webserving::WebServing;
 use oversub::{
-    run, run_counted, ElasticEvent, ExecEnv, MachineSpec, Mechanism, Mechanisms, RunConfig,
-    SpinExitVerdict,
+    run, run_counted, schedule_salt, ElasticEvent, ExecEnv, MachineSpec, Mechanism, Mechanisms,
+    RunConfig, SpinExitVerdict,
 };
 use proptest::prelude::*;
 use std::any::Any;
@@ -37,11 +41,15 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// `expected`, its pinned `(len, FNV-1a-64)` of `to_json()`: comparing
 /// the two engines alone cannot catch an edit to shared code (scheduler,
 /// task table, event queue) that moves both reports the same way.
+/// `events` pins the `(optimized, reference)` event counts, which are
+/// exact: a change that adds or loses an event moves them even when
+/// every report byte stays put.
 fn assert_golden(
     mut mk: impl FnMut() -> Box<dyn Workload>,
     cfg: &RunConfig,
     label: &str,
     expected: (usize, u64),
+    events: (u64, u64),
 ) {
     let optimized = {
         let mut wl = mk();
@@ -69,6 +77,11 @@ fn assert_golden(
         optimized.1,
         reference.1
     );
+    assert_eq!(
+        (optimized.1, reference.1),
+        events,
+        "{label}: (optimized, reference) event counts moved"
+    );
 }
 
 #[test]
@@ -84,22 +97,30 @@ fn memcached_reports_are_bit_identical() {
         &cfg,
         "memcached/16T/8c",
         (26828, 0xddc0_b4d7_5344_1288),
+        (37_374, 51_498),
     );
 }
 
 #[test]
 fn pipeline_reports_are_bit_identical_across_mechanisms() {
-    for (mech, name, expected) in [
+    for (mech, name, expected, events) in [
         (
             Mechanisms::vanilla(),
             "vanilla",
             (2231, 0xb6ff_c288_ee99_d39d),
+            (1_468, 1_481),
         ),
-        (Mechanisms::bwd_only(), "bwd", (2395, 0x3535_829f_c476_f52b)),
+        (
+            Mechanisms::bwd_only(),
+            "bwd",
+            (2395, 0x3535_829f_c476_f52b),
+            (2_685, 3_724),
+        ),
         (
             Mechanisms::optimized(),
             "optimized",
             (2530, 0x9bb9_7871_6f4c_1aae),
+            (2_685, 3_724),
         ),
     ] {
         let cfg = RunConfig::vanilla(4)
@@ -111,15 +132,24 @@ fn pipeline_reports_are_bit_identical_across_mechanisms() {
             &cfg,
             &format!("pipeline/{name}"),
             expected,
+            events,
         );
     }
 }
 
 #[test]
 fn skeleton_benchmarks_are_bit_identical() {
-    for (bench, expected) in [
-        ("fluidanimate", (1158, 0x227e_171a_f0b2_6d67)),
-        ("streamcluster", (1169, 0xf931_9280_599a_d002)),
+    for (bench, expected, events) in [
+        (
+            "fluidanimate",
+            (1158, 0x227e_171a_f0b2_6d67),
+            (7_005, 10_059),
+        ),
+        (
+            "streamcluster",
+            (1169, 0xf931_9280_599a_d002),
+            (6_433, 10_053),
+        ),
     ] {
         let profile = BenchProfile::by_name(bench).expect("known benchmark");
         let cfg = RunConfig::vanilla(8)
@@ -131,6 +161,7 @@ fn skeleton_benchmarks_are_bit_identical() {
             &cfg,
             &format!("skeleton/{bench}"),
             expected,
+            events,
         );
     }
 }
@@ -138,9 +169,10 @@ fn skeleton_benchmarks_are_bit_identical() {
 #[test]
 fn idle_heavy_machine_is_bit_identical() {
     // 8 threads on 64 CPUs: the event mix is dominated by periodic BWD
-    // timers and balance passes on idle cores, which is exactly where the
-    // timer wheel and the waiter-board O(1) early-outs (idle_pull,
-    // periodic_balance) fire most — this pins their equivalence proofs.
+    // timers and balance passes on idle cores, which is exactly where
+    // tickless idle, the cadence lanes and the waiter-board O(1)
+    // early-outs (idle_pull, periodic_balance) fire most — this pins
+    // their equivalence proofs.
     let profile = BenchProfile::by_name("streamcluster").expect("known benchmark");
     let cfg = RunConfig::vanilla(64)
         .with_machine(MachineSpec::PaperN(64))
@@ -152,6 +184,7 @@ fn idle_heavy_machine_is_bit_identical() {
         &cfg,
         "skeleton/8T/64c",
         (1159, 0x12f8_a4ed_5866_dab7),
+        (17_769, 95_872),
     );
 }
 
@@ -172,6 +205,7 @@ fn tick_dominated_512c_machine_is_bit_identical() {
         &cfg,
         "skeleton/8T/512c",
         (1172, 0xab20_a0bc_08a2_59eb),
+        (54_560, 1_588_289),
     );
 }
 
@@ -198,6 +232,7 @@ fn web_serving_with_elasticity_is_bit_identical() {
         &cfg,
         "web/24T/8c",
         (10414, 0x7360_2654_cae2_de2a),
+        (14_150, 21_532),
     );
 }
 
@@ -261,6 +296,7 @@ fn custom_mechanism_runs_are_bit_identical() {
         &cfg,
         "pipeline/custom-throttle",
         (2220, 0xadc6_a1a8_33ff_8154),
+        (1_056, 1_433),
     );
     // And it must actually have fired, or the test proves nothing.
     let mut wl = SpinPipeline::new(12, 24, WaitFlavor::Flags);
@@ -289,7 +325,79 @@ fn vm_ple_runs_are_bit_identical() {
         &cfg,
         "pipeline/ple-vm",
         (2374, 0xacee_c454_8ef9_c73d),
+        (363, 382),
     );
+}
+
+/// The schedule-robustness certifier's salted runs, which take the
+/// classic queue's tie-break permutation: race_smoke's three cells whose
+/// salted schedules diverge, at the salts of schedules 1–3. Each pins the
+/// report's `(len, FNV-1a-64)` and the event count, so a change to the
+/// permutation or to the salted engine path cannot pass unnoticed (the
+/// certifier itself only checks that divergences are explained).
+#[test]
+fn salted_reports_are_pinned() {
+    let mc_cpus = Memcached::paper(16, 8, 40_000.0).total_cpus();
+    type Cell = (
+        &'static str,
+        usize,
+        fn() -> Box<dyn Workload>,
+        [(usize, u64, u64); 3],
+    );
+    let cells: [Cell; 3] = [
+        (
+            "memcached/16T/8c",
+            mc_cpus,
+            || Box::new(Memcached::paper(16, 8, 40_000.0)),
+            [
+                (31780, 0x3ae8_26f4_eee9_3a41, 65_817),
+                (31683, 0xcfbf_976b_21fb_bba7, 65_855),
+                (31663, 0x0c0a_b671_3f9a_24eb, 65_708),
+            ],
+        ),
+        (
+            "mutex-stress/12T/8c",
+            8,
+            || Box::new(PrimitiveStress::new(12, 200, Primitive::Mutex, 2_000)),
+            [
+                (1152, 0x1a23_169c_1d9a_357f, 12_031),
+                (1152, 0xc6fd_0677_5809_9a7b, 12_035),
+                (1152, 0xe9d7_f664_e7e2_51de, 12_018),
+            ],
+        ),
+        (
+            "skeleton/streamcluster/24T/8c",
+            8,
+            || {
+                let p = BenchProfile::by_name("streamcluster").expect("known benchmark");
+                Box::new(Skeleton::scaled(p, 24, 0.15).with_salt(13))
+            },
+            [
+                (1182, 0x3331_3646_279d_af64, 39_564),
+                (1182, 0x2245_05fd_b18a_f5fd, 39_593),
+                (1182, 0xe64e_d7da_3358_78cf, 39_557),
+            ],
+        ),
+    ];
+    for (name, cpus, mk, pins) in cells {
+        for (k, expected) in (1..).zip(pins) {
+            let cfg = RunConfig::vanilla(cpus)
+                .with_machine(MachineSpec::PaperN(cpus))
+                .with_mech(Mechanisms::optimized())
+                .with_seed(2026)
+                .with_max_time(SimTime::from_millis(150))
+                .with_max_events(50_000_000)
+                .with_race_detector()
+                .with_schedule_salt(schedule_salt(k));
+            let (report, events) = run_counted(&mut *mk(), &cfg, name);
+            let json = report.to_json();
+            assert_eq!(
+                (json.len(), fnv1a64(json.as_bytes()), events),
+                expected,
+                "{name}, schedule {k}: salted report or event count moved"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
