@@ -86,6 +86,18 @@ impl LatencyDigest {
         self.sorted = false;
     }
 
+    /// A digest holding `samples` in the given order yet marked canonical,
+    /// so its order statistics can come out of order: the hand-broken
+    /// input of the report invariant tests.
+    #[cfg(test)]
+    pub(crate) fn with_order_unchecked(samples: Vec<u64>) -> Self {
+        LatencyDigest {
+            sum: samples.iter().map(|&v| v as u128).sum(),
+            samples,
+            sorted: true,
+        }
+    }
+
     /// Sort the samples in place so later reads are allocation-free.
     pub fn canonicalize(&mut self) {
         if !self.sorted {

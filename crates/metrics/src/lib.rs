@@ -18,7 +18,7 @@ pub use digest::LatencyDigest;
 pub use hist::LatencyHist;
 pub use report::{
     BlockingAggregate, BwdAggregate, CpuAggregate, Diagnostic, GoodputStats, MechCounters,
-    RunReport, TaskAggregate,
+    RunReport, TaskAggregate, ENGINE_FAULT_KINDS,
 };
 pub use stats::Summary;
 pub use table::{fmt_ns, fmt_ratio, TextTable};

@@ -171,14 +171,30 @@ impl MechCounters {
     }
 }
 
+/// Diagnostic kinds that mean the engine itself broke: a runqueue, the
+/// waiter board, the event order, a lock grant or a task continuation
+/// disagrees with the rest of the engine state. Faults and watchdog
+/// findings degrade a run; these corrupt it, so [`RunReport::check`]
+/// fails on any of them.
+pub const ENGINE_FAULT_KINDS: &[&str] = &[
+    "rq-inconsistency",
+    "waiter-board-mismatch",
+    "event-order",
+    "lock-grant-mismatch",
+    "cont-mismatch",
+];
+
 /// One structured engine diagnostic: an invariant violation or a liveness
 /// watchdog finding. Diagnostics are facts about the run ("task 3 was
 /// parked with no waker for 12 ms"), not errors — a run that degrades
 /// gracefully completes with a non-empty diagnostics list.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable kind tag ("lost_wakeup_rescue", "starvation",
-    /// "rq_inconsistency", "time_regression", "no_progress", ...).
+    /// Stable kind tag: a watchdog finding ("lost-wakeup-rescue",
+    /// "starvation", "no-progress"), a stop ("event-budget"), an analysis
+    /// finding ("deadlock-cycle", "lock-order-inversion", "data-race",
+    /// "schedule-divergence"), "fault-injection", or one of the
+    /// [`ENGINE_FAULT_KINDS`].
     pub kind: String,
     /// Virtual time the condition was observed (ns).
     pub at_ns: u64,
@@ -531,6 +547,59 @@ impl RunReport {
         self.goodput.completed as f64 / self.makespan_secs()
     }
 
+    /// The report's own invariants, one line per violation; empty when the
+    /// report is sound:
+    /// - no diagnostic of an [`ENGINE_FAULT_KINDS`] kind;
+    /// - the goodput outcomes sum to `offered`;
+    /// - the goodput digest holds `goodput.completed` samples;
+    /// - the exact digest holds `completed_ops` samples;
+    /// - the exact digest's `min <= p50 <= p99 <= p999 <= max`;
+    /// - the histogram mean is finite.
+    pub fn check(&self) -> Vec<String> {
+        let mut violations: Vec<String> = self
+            .diagnostics
+            .iter()
+            .filter(|d| ENGINE_FAULT_KINDS.contains(&d.kind.as_str()))
+            .map(|d| format!("{} at {} ns: {}", d.kind, d.at_ns, d.detail))
+            .collect();
+        let gp = &self.goodput;
+        if !gp.balanced() {
+            violations.push(format!(
+                "goodput outcomes do not sum to offered: {} completed + {} late + {} shed + \
+                 {} abandoned != {} offered",
+                gp.completed, gp.deadline_exceeded, gp.shed, gp.abandoned, gp.offered
+            ));
+        }
+        if gp.latency.count() != gp.completed {
+            violations.push(format!(
+                "goodput digest holds {} samples but {} requests completed in deadline",
+                gp.latency.count(),
+                gp.completed
+            ));
+        }
+        let d = &self.latency_exact;
+        if d.count() != self.completed_ops {
+            violations.push(format!(
+                "latency digest holds {} samples but completed_ops is {}",
+                d.count(),
+                self.completed_ops
+            ));
+        }
+        let order = [d.min(), d.p50(), d.p99(), d.p999(), d.max()];
+        if order.windows(2).any(|w| w[0] > w[1]) {
+            violations.push(format!(
+                "latency percentiles out of order: min/p50/p99/p999/max = {order:?}"
+            ));
+        }
+        if !self.latency.mean().is_finite() {
+            violations.push(format!(
+                "latency histogram mean is not finite: {}",
+                self.latency.mean()
+            ));
+        }
+        violations
+    }
+
     /// Look up a mechanism's counters by name ("vb", "bwd", "ple", ...).
     pub fn mech(&self, name: &str) -> Option<&MechCounters> {
         self.mechanisms.iter().find(|m| m.name == name)
@@ -761,14 +830,14 @@ mod tests {
     fn diagnostics_round_trip() {
         let mut r = sample();
         r.diagnostics.push(Diagnostic {
-            kind: "lost_wakeup_rescue".into(),
+            kind: "lost-wakeup-rescue".into(),
             at_ns: 42_000_000,
             task: Some(3),
             cpu: Some(1),
             detail: "task 3 parked 12 ms with no waker".into(),
         });
         r.diagnostics.push(Diagnostic {
-            kind: "no_progress".into(),
+            kind: "no-progress".into(),
             at_ns: 99_000_000,
             task: None,
             cpu: None,
@@ -795,7 +864,7 @@ mod tests {
         let back = RunReport::from_json(&json).unwrap();
         assert_eq!(back, r);
         assert_eq!(json, back.to_json());
-        assert!(r.summary().contains("lost_wakeup_rescue"));
+        assert!(r.summary().contains("lost-wakeup-rescue"));
     }
 
     #[test]
@@ -856,9 +925,11 @@ mod tests {
             retries: 3,
             latency: LatencyDigest::new(),
         };
-        r.goodput.latency.record(1_000);
+        for v in [1_000, 1_200, 900, 1_000, 3_000, 2_000] {
+            r.goodput.latency.record(v);
+        }
         r.goodput.latency.canonicalize();
-        assert!(r.goodput.balanced());
+        assert_eq!(r.check(), Vec::<String>::new());
         let json = r.to_json();
         let back = RunReport::from_json(&json).unwrap();
         assert_eq!(back, r);
@@ -897,6 +968,71 @@ mod tests {
         assert_ne!(legacy, json, "replacement must have removed the field");
         let back = RunReport::from_json(&legacy).unwrap();
         assert_eq!(back, r);
+    }
+
+    /// A sound request-shaped report: three completions in both digests,
+    /// balanced goodput, and a watchdog finding that is not a fault.
+    fn sound() -> RunReport {
+        let mut r = sample();
+        for v in [5_000u64, 1_000, 3_000] {
+            r.latency.record(v);
+            r.latency_exact.record(v);
+            r.goodput.latency.record(v);
+        }
+        r.completed_ops = 3;
+        r.goodput.offered = 5;
+        r.goodput.completed = 3;
+        r.goodput.shed = 2;
+        r.diagnostics.push(Diagnostic {
+            kind: "lost-wakeup-rescue".into(),
+            ..Diagnostic::default()
+        });
+        r
+    }
+
+    fn assert_one_violation(r: &RunReport, expected: &str) {
+        let v = r.check();
+        assert!(v.len() == 1 && v[0].contains(expected), "{expected}: {v:?}");
+    }
+
+    /// Sound reports pass; one hand-broken report per clause gives exactly
+    /// one violation. (The mean clause has none: an integer sum over a
+    /// non-zero count is always finite.)
+    #[test]
+    fn check_flags_each_broken_invariant_once() {
+        assert_eq!(sound().check(), Vec::<String>::new());
+        assert_eq!(RunReport::default().check(), Vec::<String>::new());
+        type Break = fn(&mut RunReport);
+        let breaks: [(&str, Break); 4] = [
+            ("do not sum to offered", |r| r.goodput.shed = 1),
+            ("goodput digest holds 3", |r| {
+                (r.goodput.completed, r.goodput.shed) = (4, 1)
+            }),
+            ("completed_ops is 4", |r| r.completed_ops = 4),
+            ("out of order", |r| {
+                r.latency_exact = LatencyDigest::with_order_unchecked(vec![5_000, 1_000, 3_000])
+            }),
+        ];
+        for (expected, break_it) in breaks {
+            let mut r = sound();
+            break_it(&mut r);
+            assert_one_violation(&r, expected);
+        }
+        // Every kind the engine emits for a broken engine invariant.
+        for kind in [
+            "rq-inconsistency",
+            "waiter-board-mismatch",
+            "event-order",
+            "lock-grant-mismatch",
+            "cont-mismatch",
+        ] {
+            let mut r = sound();
+            r.diagnostics.push(Diagnostic {
+                kind: kind.into(),
+                ..Diagnostic::default()
+            });
+            assert_one_violation(&r, kind);
+        }
     }
 
     #[test]

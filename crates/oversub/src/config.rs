@@ -403,6 +403,14 @@ impl RunConfig {
     /// legal-but-suspicious ones — each warning is a human-readable line
     /// the runner prints to stderr.
     pub fn validate(&self) -> Result<Vec<String>, String> {
+        let has_cpus = match self.machine {
+            MachineSpec::Flat(n) | MachineSpec::PaperN(n) => n > 0,
+            MachineSpec::Numa(nodes, cores, smt) => nodes > 0 && cores > 0 && smt > 0,
+            MachineSpec::Paper8Cores | MachineSpec::Paper8Hyperthreads => true,
+        };
+        if !has_cpus {
+            return Err(format!("machine {:?} has no CPUs", self.machine));
+        }
         let ncpu = self.machine.topology().num_cpus();
         if let Some(ic) = self.initial_cores {
             if ic == 0 {
@@ -598,6 +606,17 @@ mod tests {
         let mut cfg = RunConfig::vanilla(4);
         cfg.initial_cores = Some(9);
         assert!(cfg.validate().unwrap_err().contains("exceeds"));
+
+        for machine in [
+            MachineSpec::Flat(0),
+            MachineSpec::PaperN(0),
+            MachineSpec::Numa(0, 4, 1),
+            MachineSpec::Numa(2, 0, 1),
+            MachineSpec::Numa(2, 4, 0),
+        ] {
+            let cfg = RunConfig::vanilla(4).with_machine(machine);
+            assert!(cfg.validate().unwrap_err().contains("no CPUs"));
+        }
 
         let mut cfg = RunConfig::optimized(4);
         cfg.bwd_params.interval_ns = 0;

@@ -434,6 +434,16 @@ impl Engine {
             }
         }
         workload.build(&mut world);
+        let ncpu = topo.num_cpus();
+        for (i, spec) in world.threads.iter().enumerate() {
+            for (how, cpu) in [("placed", spec.initial_cpu), ("pinned", spec.pinned)] {
+                if let Some(CpuId(c)) = cpu.filter(|c| c.0 >= ncpu) {
+                    return Err(EngineError::InvalidConfig(format!(
+                        "thread {i} is {how} on cpu {c} but the machine has {ncpu} CPUs"
+                    )));
+                }
+            }
+        }
 
         let base_rng = SimRng::new(cfg.seed);
         let n = world.threads.len();
@@ -488,7 +498,6 @@ impl Engine {
         } else {
             EventQueue::new()
         };
-        let ncpu = topo.num_cpus();
         // Timers are armed only where tasks run, and tasks start on the
         // first CPUs; a task that moves beyond them grows the slot map.
         queue.reserve_timer_slots(Timer::PER_CPU * ncpu.min(n));
@@ -707,12 +716,9 @@ impl Engine {
         self.mechs.flush_idle_checks(&mut pending);
         let trace = std::mem::take(&mut self.trace);
         let events = self.events_processed;
-        (
-            self.build_report(workload, label, makespan),
-            trace,
-            events,
-            prof.map(|p| *p),
-        )
+        let report = self.build_report(workload, label, makespan);
+        debug_assert_eq!(report.check(), Vec::<String>::new(), "report invariants");
+        (report, trace, events, prof.map(|p| *p))
     }
 
     /// Request an `Event::Resched(cpu)` at `at`, coalescing adjacent

@@ -74,10 +74,10 @@ pub fn set_jobs(n: usize) {
 
 /// The memoized run cache. Entries are stored as the report's canonical
 /// JSON (not the in-memory struct) so every hit can be integrity-checked:
-/// the entry must still parse and satisfy the report's internal
-/// invariants before it is served. A corrupt entry — however it got that
-/// way — is discarded with a warning and the arm re-executes, so cache
-/// damage degrades to a cache miss instead of a wrong result.
+/// the entry must still parse and pass [`RunReport::check`] before it is
+/// served. A corrupt entry — however it got that way — is discarded with
+/// a warning and the arm re-executes, so cache damage degrades to a cache
+/// miss instead of a wrong result.
 fn cache() -> &'static Mutex<BTreeMap<String, String>> {
     static CACHE: OnceLock<Mutex<BTreeMap<String, String>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(BTreeMap::new()))
@@ -86,19 +86,12 @@ fn cache() -> &'static Mutex<BTreeMap<String, String>> {
 /// Parse and integrity-check one cached entry.
 fn validate_cached(json: &str) -> Result<RunReport, String> {
     let report = RunReport::from_json(json).map_err(|e| format!("parse failed: {e}"))?;
-    // Every sink-produced report records exactly one digest sample per
-    // completed op (the digest is the source of completed_ops).
-    if report.latency_exact.count() != report.completed_ops {
-        return Err(format!(
-            "latency digest holds {} samples but completed_ops is {}",
-            report.latency_exact.count(),
-            report.completed_ops
-        ));
+    let violations = report.check();
+    if violations.is_empty() {
+        Ok(report)
+    } else {
+        Err(violations.join("; "))
     }
-    if !report.goodput.balanced() {
-        return Err("goodput outcome counts do not sum to offered".into());
-    }
-    Ok(report)
 }
 
 /// Shorten a cache key for a stderr warning (keys embed the full config

@@ -288,7 +288,6 @@ impl RequestSink {
                 .saturating_sub(g.completed_in_deadline + g.deadline_exceeded + g.shed);
             gp.retries = g.retries;
             gp.latency = g.good_digest.clone();
-            debug_assert!(gp.balanced(), "goodput accounting out of balance: {gp:?}");
         }
         report.goodput = gp;
     }
@@ -555,7 +554,7 @@ mod tests {
         assert_eq!(r.goodput.deadline_exceeded, 1);
         assert_eq!(r.goodput.shed, 1);
         assert_eq!(r.goodput.abandoned, 0);
-        assert!(r.goodput.balanced());
+        assert_eq!(r.check(), Vec::<String>::new());
         assert_eq!(r.goodput.latency.count(), 1);
         assert_eq!(r.goodput.latency.max(), 500);
         // reset() keeps the configuration but drops the samples.

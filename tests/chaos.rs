@@ -8,12 +8,16 @@
 //!    random numbers, schedules zero events, and allocates zero state.
 //! 2. **Chaos matrix** — every fault kind crossed with representative
 //!    workloads either completes cleanly or terminates with a structured
-//!    watchdog diagnostic. No panic, no hang, and never an invariant
-//!    violation (`rq-inconsistency` / `waiter-board-mismatch` /
-//!    `event-order` are engine bugs, not acceptable fault outcomes).
+//!    watchdog diagnostic. No panic, no hang, and never a report that
+//!    fails `RunReport::check` (an engine-fault diagnostic is an engine
+//!    bug, not an acceptable fault outcome).
 //! 3. **Degradation actually engages** — heavy lost wakeups drive the
 //!    watchdog's VB rescue path (counted in `MechCounters::recoveries`),
 //!    and sensor noise drives BWD's adaptive backoff.
+//! 4. **Bad configs are refused, not crashed on** — hand-found holes in
+//!    `RunConfig::validate()` and the engine's placement check, plus a
+//!    config fuzzer: whatever `validate()` accepts runs to a sound report
+//!    or comes back as `EngineError::InvalidConfig`.
 
 use oversub::simcore::SimTime;
 use oversub::workload::Workload;
@@ -27,34 +31,24 @@ use oversub::{
 };
 use proptest::prelude::*;
 
-/// Diagnostic kinds that indicate an engine bug rather than an injected
-/// fault or a watchdog-mediated outcome. These must never appear.
-/// `data-race` and `schedule-divergence` belong here too: the chaos
-/// matrix never arms the race detector or the schedule certifier, so the
-/// engine emitting either kind under chaos means analysis state leaked
-/// into an unarmed run.
-const FAILURE_KINDS: &[&str] = &[
-    "rq-inconsistency",
-    "waiter-board-mismatch",
-    "event-order",
-    "lock-grant-mismatch",
-    "data-race",
-    "schedule-divergence",
-];
-
 /// A named workload case: label, CPU count, and a fresh-instance factory.
 type WorkloadCase<'a> = (&'a str, usize, Box<dyn FnMut() -> Box<dyn Workload>>);
 
+/// The report passes `RunReport::check`, and carries no analysis finding:
+/// these runs never arm the race detector or the schedule certifier, so a
+/// `data-race` or `schedule-divergence` diagnostic means analysis state
+/// leaked into an unarmed run.
 fn assert_no_invariant_violations(report: &RunReport, scenario: &str) {
-    for d in &report.diagnostics {
-        assert!(
-            !FAILURE_KINDS.contains(&d.kind.as_str()),
-            "{scenario}: invariant violation diagnostic: {} at {} ns: {}",
-            d.kind,
-            d.at_ns,
-            d.detail
-        );
-    }
+    assert_eq!(report.check(), Vec::<String>::new(), "{scenario}");
+    let leaked: Vec<_> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.kind == "data-race" || d.kind == "schedule-divergence")
+        .collect();
+    assert!(
+        leaked.is_empty(),
+        "{scenario}: unarmed analysis: {leaked:?}"
+    );
 }
 
 fn base_cfg(cpus: usize, seed: u64) -> RunConfig {
@@ -291,9 +285,20 @@ fn sensor_noise_triggers_bwd_backoff() {
     );
 }
 
-/// A config that cannot run must come back from `try_run` as an error,
-/// never a panic. The engine divides by the balance interval when it
-/// staggers the balance ticks, so `validate()` must reject zero.
+/// The message `try_run` refuses `cfg` with. A config that cannot run
+/// must come back as `InvalidConfig`: running it, another error and a
+/// panic all fail the calling test.
+fn refusal(wl: &mut dyn Workload, cfg: &RunConfig) -> String {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run(wl, cfg))) {
+        Ok(Err(EngineError::InvalidConfig(msg))) => msg,
+        Ok(Err(e)) => panic!("wrong error: {e}"),
+        Ok(Ok(r)) => panic!("try_run ran the config: {}", r.summary()),
+        Err(_) => panic!("try_run panicked instead of returning an error"),
+    }
+}
+
+/// The engine divides by the balance interval when it staggers the
+/// balance ticks, so `validate()` must reject zero.
 #[test]
 fn zero_balance_interval_is_rejected_without_a_panic() {
     let mut cfg = RunConfig::vanilla(4)
@@ -306,13 +311,7 @@ fn zero_balance_interval_is_rejected_without_a_panic() {
         "unexpected message: {err}"
     );
     let mut wl = SpinPipeline::new(8, 20, WaitFlavor::Flags);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run(&mut wl, &cfg)));
-    match outcome {
-        Ok(Err(EngineError::InvalidConfig(msg))) => assert_eq!(msg, err),
-        Ok(Err(e)) => panic!("wrong error: {e}"),
-        Ok(Ok(_)) => panic!("try_run accepted a zero balance interval"),
-        Err(_) => panic!("try_run panicked instead of returning an error"),
-    }
+    assert_eq!(refusal(&mut wl, &cfg), err);
 }
 
 /// A timer interval the config cannot show: an out-of-tree mechanism
@@ -343,17 +342,11 @@ fn zero_period_custom_timer_is_rejected_without_a_panic() {
         cfg.validate().is_ok(),
         "the interval is invisible to validate()"
     );
-    let mut wl = SpinPipeline::new(8, 20, WaitFlavor::Flags);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run(&mut wl, &cfg)));
-    match outcome {
-        Ok(Err(EngineError::InvalidConfig(msg))) => assert!(
-            msg.contains("zero-tick") && msg.contains("zero timer interval"),
-            "unexpected message: {msg}"
-        ),
-        Ok(Err(e)) => panic!("wrong error: {e}"),
-        Ok(Ok(_)) => panic!("try_run accepted a zero timer interval"),
-        Err(_) => panic!("try_run panicked instead of returning an error"),
-    }
+    let msg = refusal(&mut SpinPipeline::new(8, 20, WaitFlavor::Flags), &cfg);
+    assert!(
+        msg.contains("zero-tick") && msg.contains("zero timer interval"),
+        "unexpected message: {msg}"
+    );
 }
 
 /// With a zero `min_granularity_ns` and a target latency below the
@@ -375,18 +368,7 @@ fn zero_slice_is_rejected_without_a_hang() {
         "unexpected message: {err}"
     );
     let profile = BenchProfile::by_name("streamcluster").expect("streamcluster profile");
-    let mut wl = Skeleton::scaled(profile, 4, 0.05);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run(&mut wl, &cfg)));
-    match outcome {
-        Ok(Err(EngineError::InvalidConfig(msg))) => assert_eq!(msg, err),
-        Ok(Err(e)) => panic!("wrong error: {e}"),
-        Ok(Ok(r)) => panic!(
-            "try_run accepted a zero slice (makespan {} ns, diagnostics {:?})",
-            r.makespan_ns,
-            r.diagnostics.iter().map(|d| &d.kind).collect::<Vec<_>>()
-        ),
-        Err(_) => panic!("try_run panicked instead of returning an error"),
-    }
+    assert_eq!(refusal(&mut Skeleton::scaled(profile, 4, 0.05), &cfg), err);
 }
 
 /// A BWD check that costs as much as its own interval would book more
@@ -401,16 +383,47 @@ fn bwd_check_cost_at_interval_is_rejected_without_a_panic() {
     let err = cfg.validate().expect_err("validate() must reject it");
     assert!(err.contains("check_cost_ns"), "unexpected message: {err}");
     let mut wl = SpinPipeline::new(8, 20, WaitFlavor::Flags);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| try_run(&mut wl, &cfg)));
-    match outcome {
-        Ok(Err(EngineError::InvalidConfig(msg))) => assert_eq!(msg, err),
-        Ok(Err(e)) => panic!("wrong error: {e}"),
-        Ok(Ok(r)) => panic!(
-            "try_run accepted a check as long as its interval: {} ns kernel time",
-            r.cpus.kernel_ns
-        ),
-        Err(_) => panic!("try_run panicked instead of returning an error"),
+    assert_eq!(refusal(&mut wl, &cfg), err);
+}
+
+/// A machine without CPUs: `validate()` must refuse it before it builds
+/// the topology, which asserts on a zero dimension.
+#[test]
+fn zero_cpu_machine_is_rejected_without_a_panic() {
+    for cfg in [
+        RunConfig::vanilla(0),
+        RunConfig::vanilla(4).with_machine(MachineSpec::PaperN(0)),
+        RunConfig::vanilla(4).with_machine(MachineSpec::Numa(2, 0, 1)),
+    ] {
+        let err = cfg.validate().expect_err("validate() must reject it");
+        assert!(err.contains("no CPUs"), "unexpected message: {err}");
+        let mut wl = SpinPipeline::new(8, 20, WaitFlavor::Flags);
+        assert_eq!(refusal(&mut wl, &cfg), err);
     }
+}
+
+/// A thread placed beyond the machine passes `validate()`, which cannot
+/// see the workload: memcached pins its three clients after its server
+/// cores, here on CPUs 2-4 of a 4-CPU machine. `try_run` must refuse the
+/// run and name the thread and the CPU.
+#[test]
+fn thread_placed_beyond_the_machine_is_rejected_without_a_panic() {
+    let cfg = RunConfig::vanilla(4).with_max_time(SimTime::from_millis(20));
+    assert!(
+        cfg.validate().is_ok(),
+        "placement is invisible to validate()"
+    );
+    let msg = refusal(&mut Memcached::paper(8, 2, 40_000.0), &cfg);
+    assert!(
+        msg.contains("thread 10 is placed on cpu 4 but the machine has 4 CPUs"),
+        "unexpected message: {msg}"
+    );
+}
+
+/// 0 or 1 (the edges `validate()` guards) a quarter of the time each,
+/// else a value below `max`.
+fn edge_ns(max: u64) -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0u64), Just(1u64), 2..max, 2..max]
 }
 
 proptest! {
@@ -450,12 +463,86 @@ proptest! {
         let mut wl = SpinPipeline::new(8, 20, WaitFlavor::Flags);
         let report = try_run(&mut wl, &cfg);
         prop_assert!(report.is_ok(), "engine error: {:?}", report.err());
-        let report = report.unwrap();
-        for d in &report.diagnostics {
-            prop_assert!(
-                !FAILURE_KINDS.contains(&d.kind.as_str()),
-                "invariant violation under faults: {} — {}", d.kind, d.detail
-            );
+        assert_no_invariant_violations(&report.unwrap(), "arbitrary faults");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Config fuzzer: any machine shape (zero dimensions included), core
+    /// count, mechanism preset, environment and value of the fields
+    /// `validate()` guards, crossed with three workload families whose
+    /// CPU demand may exceed the machine. `validate()` never panics. A
+    /// config it refuses, `try_run` refuses with the same message; one it
+    /// accepts runs to a report that passes `check()`, or is refused as
+    /// `InvalidConfig` for a thread placed beyond the machine.
+    #[test]
+    fn fuzzed_configs_are_refused_or_run_clean(
+        shape in (0usize..5, 0usize..10, 0usize..10, 0usize..10),
+        initial_cores in prop_oneof![Just(None::<usize>), (0usize..11).prop_map(Some)],
+        preset in 0usize..7,
+        vm in any::<bool>(),
+        sched_ns in (edge_ns(20_000_000), edge_ns(2_000_000)),
+        bwd_ns in (edge_ns(400_000), edge_ns(400_000)),
+        ple_window_ns in edge_ns(100_000),
+        max_events in 0u64..200_001,
+        workload in (0usize..3, 1usize..17, 1usize..9),
+        seed in any::<u64>(),
+    ) {
+        let machine = match shape {
+            (0, n, _, _) => MachineSpec::Flat(n),
+            (1, n, _, _) => MachineSpec::PaperN(n),
+            (2, nodes, cores, smt) => MachineSpec::Numa(nodes, cores, smt),
+            (3, ..) => MachineSpec::Paper8Cores,
+            _ => MachineSpec::Paper8Hyperthreads,
+        };
+        let presets = [
+            Mechanisms::vanilla(),
+            Mechanisms::optimized(),
+            Mechanisms::ple_only(),
+            Mechanisms::vb_only(),
+            Mechanisms::bwd_only(),
+            Mechanisms::neighbour_aware(),
+            Mechanisms::neighbour_only(),
+        ];
+        let mut cfg = RunConfig::vanilla(1)
+            .with_machine(machine)
+            .with_mech(presets[preset])
+            .with_seed(seed)
+            .with_max_time(SimTime::from_millis(20))
+            .with_max_events(max_events);
+        if vm {
+            cfg = cfg.in_vm();
+        }
+        cfg.initial_cores = initial_cores;
+        (cfg.sched.balance_interval_ns, cfg.sched.min_granularity_ns) = sched_ns;
+        (cfg.bwd_params.interval_ns, cfg.bwd_params.check_cost_ns) = bwd_ns;
+        cfg.ple_params.window_ns = ple_window_ns;
+        let (family, threads, cores) = workload;
+        let mut wl: Box<dyn Workload> = match family {
+            0 => Box::new(SpinPipeline::new(threads.max(2), 20, WaitFlavor::Flags)),
+            1 => Box::new(PrimitiveStress::new(threads, 50, Primitive::Mutex, 2_000)),
+            _ => Box::new(Memcached::paper(threads, cores, 40_000.0)),
+        };
+        let case = format!("{} ({threads}T, {cores} server cores) on {cfg:?}", wl.name());
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            (cfg.validate(), try_run(&mut *wl, &cfg))
+        }));
+        let Ok((verdict, run)) = outcome else {
+            panic!("panicked: {case}");
+        };
+        match (verdict, run) {
+            (Err(why), Err(EngineError::InvalidConfig(msg))) => prop_assert_eq!(why, msg, "{}", case),
+            (Ok(_), Err(EngineError::InvalidConfig(msg))) => prop_assert!(
+                msg.contains("but the machine has"),
+                "{case}: {msg}"
+            ),
+            (Ok(_), Ok(report)) => assert_no_invariant_violations(&report, &case),
+            (verdict, run) => panic!(
+                "{case}: validate() gave {verdict:?} but try_run gave {:?}",
+                run.map(|r| r.makespan_ns)
+            ),
         }
     }
 }

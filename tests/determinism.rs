@@ -330,8 +330,9 @@ fn vm_ple_runs_are_bit_identical() {
 }
 
 /// The schedule-robustness certifier's salted runs, which take the
-/// classic queue's tie-break permutation: race_smoke's three cells whose
-/// salted schedules diverge, at the salts of schedules 1–3. Each pins the
+/// classic queue's tie-break permutation: the three race cells of
+/// `tests/smoke.rs` whose salted schedules diverge, at the salts of
+/// schedules 1–3. Each pins the
 /// report's `(len, FNV-1a-64)` and the event count, so a change to the
 /// permutation or to the salted engine path cannot pass unnoticed (the
 /// certifier itself only checks that divergences are explained).

@@ -144,9 +144,9 @@ fn race_detector_is_observation_only_and_silent_on_golden_configs() {
     }
 }
 
-/// Schedule-robustness certification at small N (the CI `race_smoke` bin
-/// runs the same harness at `--schedules 8`): every schedule is either
-/// byte-identical to the pinned tie order or explained by a
+/// Schedule-robustness certification at small N (the race cells of
+/// `tests/smoke.rs` run the same harness at 8 schedules): every schedule
+/// is either byte-identical to the pinned tie order or explained by a
 /// `schedule-divergence` diagnostic naming the salt and the first
 /// diverging report field. The flag pipeline — whose cross-stage
 /// hand-offs are all explicit flag releases — must certify fully clean;

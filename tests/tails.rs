@@ -13,7 +13,6 @@
 //! The sweep jobs knob and run cache are process-global, so the sweep
 //! assertions live in one `#[test]` (same discipline as `tests/sweep.rs`).
 
-use oversub::metrics::json::JsonValue;
 use oversub::metrics::LatencyDigest;
 use oversub::simcore::SimTime;
 use oversub::sweep::{self, Sweep};
@@ -136,12 +135,13 @@ fn exact_digest_is_byte_identical_across_jobs_and_cache_replay() {
         "replay was expected to hit the run cache"
     );
 
-    // The digest in the replayed report round-trips through JSON.
-    let v = JsonValue::parse(&replay).expect("report JSON parses");
-    let d = LatencyDigest::from_json_value(v.get("latency_exact").expect("key present"))
-        .expect("digest parses");
-    assert!(!d.is_empty(), "memcached run must complete requests");
-    assert!(d.p50() <= d.p99() && d.p99() <= d.p999() && d.p999() <= d.max());
+    // The replayed report round-trips through JSON with its invariants.
+    let r = RunReport::from_json(&replay).expect("report JSON parses");
+    assert!(
+        !r.latency_exact.is_empty(),
+        "memcached run must complete requests"
+    );
+    assert_eq!(r.check(), Vec::<String>::new());
 }
 
 #[test]
