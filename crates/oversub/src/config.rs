@@ -9,6 +9,10 @@ use oversub_sched::SchedParams;
 use oversub_simcore::SimTime;
 use oversub_workloads::admission::{AdmissionPolicy, OverloadParams};
 
+/// Cap on each per-operation cost in [`SchedParams`] (1 s), enforced by
+/// [`RunConfig::validate`].
+const MAX_SCHED_OP_NS: u64 = oversub_simcore::SECS;
+
 /// Which machine the container sees.
 #[derive(Clone, Debug)]
 pub enum MachineSpec {
@@ -169,7 +173,7 @@ pub struct RunConfig {
     /// Record a scheduling-event trace (see [`crate::trace::TraceLog`]).
     pub trace: bool,
     /// Use the pre-overhaul reference engine internals (classic event
-    /// queue, uncached runqueue picks, no resched coalescing). Metrics are
+    /// queue, full balancer scans, every reschedule queued). Metrics are
     /// bit-identical either way — this knob exists for the golden
     /// determinism test and before/after throughput comparisons. Can also
     /// be forced with the `OVERSUB_REFERENCE_ENGINE` environment variable.
@@ -185,8 +189,8 @@ pub struct RunConfig {
     /// Hard cap on processed events (a step budget for chaos testing);
     /// `None` uses the engine's built-in runaway safety valve. The budget
     /// counts events popped from the queue, which the optimized engine
-    /// reduces (resched coalescing drops duplicate wakeups, tickless idle
-    /// settles idle cores' ticks without popping them), so a run that
+    /// reduces (it holds back reschedules that start nothing, and tickless
+    /// idle settles idle cores' ticks without popping them), so a run that
     /// exhausts it can stop at a different point on each engine.
     pub max_events: Option<u64>,
     /// Overload control plane: per-request deadline, admission policy at
@@ -215,9 +219,9 @@ pub struct RunConfig {
     /// schedule-robustness certifier perturbs schedules. Only the classic
     /// event queue implements the permutation, so salted runs use it:
     /// no cadence lanes, no timer slots (superseded timers pop and fail
-    /// their epoch check) and no tickless idle, whose tie rule needs the
-    /// fast queue's scheduled-at keys. The rest of the optimized engine,
-    /// resched coalescing included, stays on.
+    /// their epoch check), no held-back reschedules and no tickless idle,
+    /// whose tie rule needs the fast queue's scheduled-at keys. The rest
+    /// of the optimized engine stays on.
     pub schedule_salt: u64,
 }
 
@@ -447,6 +451,27 @@ impl RunConfig {
                     .into(),
             );
         }
+        let s = &self.sched;
+        for (name, ns) in [
+            ("ctx_switch_ns", s.ctx_switch_ns),
+            ("syscall_entry_ns", s.syscall_entry_ns),
+            ("wakeup_fixed_ns", s.wakeup_fixed_ns),
+            ("wakeup_scan_per_cpu_ns", s.wakeup_scan_per_cpu_ns),
+            ("rq_lock_hold_ns", s.rq_lock_hold_ns),
+            ("rq_lock.base_cost_ns", s.rq_lock.base_cost_ns),
+            ("rq_lock.per_waiter_ns", s.rq_lock.per_waiter_ns),
+            ("vb_wake_ns", s.vb_wake_ns),
+            ("vb_poll_ns", s.vb_poll_ns),
+        ] {
+            if ns > MAX_SCHED_OP_NS {
+                return Err(format!(
+                    "sched.{name} = {ns} ns exceeds the {MAX_SCHED_OP_NS} ns (1 s) cap on \
+                     one scheduler operation's cost: no kernel path takes that long, \
+                     and costs near u64::MAX overflow the engine's time arithmetic \
+                     (a stint's vruntime charge is its length times 1024)"
+                ));
+            }
+        }
         if self.mech.ple && self.ple().window_ns == 0 {
             return Err("PLE is enabled with window_ns = 0 (exit storm on every spin)".into());
         }
@@ -645,6 +670,30 @@ mod tests {
         cfg.sched.min_granularity_ns = 1;
         cfg.sched.target_latency_ns = 0;
         assert!(cfg.validate().is_ok(), "a 1 ns floor keeps time moving");
+
+        // Every per-operation scheduler cost is capped at 1 s.
+        type Cost = fn(&mut SchedParams) -> &mut u64;
+        let costs: [(&str, Cost); 9] = [
+            ("ctx_switch_ns", |s| &mut s.ctx_switch_ns),
+            ("syscall_entry_ns", |s| &mut s.syscall_entry_ns),
+            ("wakeup_fixed_ns", |s| &mut s.wakeup_fixed_ns),
+            ("wakeup_scan_per_cpu_ns", |s| &mut s.wakeup_scan_per_cpu_ns),
+            ("rq_lock_hold_ns", |s| &mut s.rq_lock_hold_ns),
+            ("rq_lock.base_cost_ns", |s| &mut s.rq_lock.base_cost_ns),
+            ("rq_lock.per_waiter_ns", |s| &mut s.rq_lock.per_waiter_ns),
+            ("vb_wake_ns", |s| &mut s.vb_wake_ns),
+            ("vb_poll_ns", |s| &mut s.vb_poll_ns),
+        ];
+        for (name, field) in costs {
+            let mut cfg = RunConfig::optimized(4);
+            *field(&mut cfg.sched) = MAX_SCHED_OP_NS;
+            assert!(cfg.validate().is_ok(), "{name} at the cap");
+            for ns in [MAX_SCHED_OP_NS + 1, u64::MAX / 4] {
+                *field(&mut cfg.sched) = ns;
+                let err = cfg.validate().unwrap_err();
+                assert!(err.contains(name) && err.contains("cap"), "{err}");
+            }
+        }
     }
 
     #[test]

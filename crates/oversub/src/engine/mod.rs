@@ -16,7 +16,7 @@
 //! verdicts. Module layout:
 //!
 //! - [`mod@self`]: the [`Engine`] struct, construction, the event loop,
-//!   and resched coalescing.
+//!   and held-back reschedules.
 //! - `events`: time accounting and the per-event handlers (resched,
 //!   segment end, slice, preemption, balancing, I/O, elasticity).
 //! - `spin`: segment bookkeeping plus the mechanism timer / spin-exit
@@ -55,7 +55,7 @@ use oversub_hw::{CpuId, MemModel, NormalCodeRates};
 use oversub_ksync::{EpollTable, FutexTable};
 use oversub_locks::{LockDep, SyncRegistry};
 use oversub_metrics::{Diagnostic, RunReport};
-use oversub_simcore::{EventQueue, SimRng, SimTime, VClock};
+use oversub_simcore::{EventQueue, Reserved, SimRng, SimTime, VClock};
 use oversub_task::{Action, EpollFd, FlagId, LockId, SemId, SpinSig, Task, TaskId, TaskTable};
 use oversub_workloads::workload::{Workload, WorldBuilder};
 
@@ -295,14 +295,19 @@ pub(crate) struct Engine {
     /// Per-CPU pending spin exit, if a mechanism armed one:
     /// `(exit time, index of the owning mechanism)`.
     pub spin_exit_at: Vec<Option<(SimTime, usize)>>,
-    /// `(timestamp, sim time of the request, queue seq mark)` of the most
-    /// recently scheduled `Event::Resched(cpu)` per CPU. A duplicate
-    /// request is coalesced into it only when all three match — together
-    /// they prove no other event can pop in between, so the duplicate
-    /// would pop immediately after its twin with identical state (see
-    /// `sched_resched`).
-    pub resched_pending: Vec<Option<(SimTime, SimTime, u64)>>,
-    /// Reference mode: classic queue, uncached picks, no coalescing.
+    /// Held-back reschedules: `(key, cpu)` of each `Event::Resched(cpu)`
+    /// requested while it provably started nothing, not yet queued or
+    /// dropped (see [`sched_resched`](Self::sched_resched)).
+    held: Vec<(Reserved, usize)>,
+    /// Union of the unpinned tasks' cpusets (`allowed` masks, which
+    /// cover CPUs 0–63): an idle CPU outside it can never be given a task
+    /// by `idle_pull`.
+    pull_mask: u64,
+    /// [`Scheduler::idle_work_mark`](oversub_sched::Scheduler::idle_work_mark)
+    /// when `held` was last re-checked.
+    held_mark: u64,
+    /// Reference mode: classic queue, full balancer scans, every
+    /// reschedule queued.
     pub reference: bool,
     /// Per-mechanism timer interval, cached at construction so the
     /// periodic-tick hot path re-arms without a dyn dispatch (intervals
@@ -508,6 +513,9 @@ impl Engine {
             .map(|i| mechs.idle_quiet_constant(i))
             .collect();
         let pending_idle_checks = vec![0u64; mechs.len()];
+        let pull_mask = (0..n)
+            .filter(|&i| tasks.pinned[i].is_none())
+            .fold(0, |m, i| m | tasks.allowed[i]);
         // Tickless idle's tie rule needs the fast queue's scheduled-at keys.
         let tickless = match mechs.timers().as_slice() {
             &[(mech, interval_ns)] if !queue.is_classic() && faults.is_none() => {
@@ -531,7 +539,9 @@ impl Engine {
             tasks,
             rngs,
             queue,
-            resched_pending: vec![None; ncpu],
+            held: Vec::new(),
+            pull_mask,
+            held_mark: 0,
             reference,
             timer_intervals,
             idle_quiet_charge,
@@ -622,6 +632,7 @@ impl Engine {
         if eng.cfg.max_time.is_some() {
             eng.queue.schedule_nocancel(end_cap, Event::Stop);
         }
+        eng.held_mark = eng.sched.idle_work_mark();
         Ok(eng)
     }
 
@@ -690,6 +701,11 @@ impl Engine {
                     *p.slot_for(&ev) += t0.elapsed().as_nanos() as u64;
                 }
             }
+            let mark = self.sched.idle_work_mark();
+            if mark != self.held_mark {
+                self.held_mark = mark;
+                self.recheck_held();
+            }
             if self.check_rqs {
                 self.audit_rqs();
             }
@@ -721,35 +737,71 @@ impl Engine {
         (report, trace, events, prof.map(|p| *p))
     }
 
-    /// Request an `Event::Resched(cpu)` at `at`, coalescing adjacent
-    /// duplicates. A duplicate is suppressed only when a `Resched(cpu)`
-    /// was already scheduled for the *same timestamp*, at the same sim
-    /// time, and the queue's sequence mark has not moved since — i.e. no
-    /// event of any kind was scheduled in between. Events pop in
-    /// `(time, scheduled_at, seq)` order, so the twin would share the
-    /// covering event's first two key components and take the next seq:
-    /// nothing, not even a back-dated timer re-arm, can pop between them,
-    /// and no handler runs between the two. If the covering
-    /// resched started a task the twin sees a busy CPU and returns; if it
-    /// found nothing, the twin re-runs `pick_next` on bit-identical state
-    /// (skip-flag expiry is idempotent within a pick round, a failed
-    /// `idle_pull` is stateless, and `account_progress` at an unchanged
-    /// cursor adds zero). Either way the twin is a provable no-op, so
-    /// dropping it cannot perturb metrics — the golden determinism test
-    /// (`tests/determinism.rs`) checks this end to end. Any suppression
-    /// window wider than "strictly adjacent" is unsound: an intervening
-    /// same-timestamp event (e.g. a `PreemptCheck`) can requeue a task
-    /// that the twin's `idle_pull` would then steal.
+    /// Request an `Event::Resched(cpu)` at `at`.
+    ///
+    /// On the fast queue, a reschedule that provably starts nothing is
+    /// held back instead of queued (reference and salted runs, on the
+    /// classic queue, queue every one): it draws its key now
+    /// ([`EventQueue::reserve`]) and waits in `held`. It is held back
+    /// while [`resched_is_dead`](Self::resched_is_dead) holds: `cpu` is
+    /// online and idle, its runqueue has no schedulable task and no
+    /// pending skip release, and `on_resched` could not pull work there.
+    /// Popped in that state, the handler would only settle the CPU's
+    /// lapsed ticks and book its idle time, and both add up the same when
+    /// the next touch of the CPU does them, or when the report closes
+    /// every cursor at makespan.
+    ///
+    /// The test reads nothing that changes except when a runqueue gains
+    /// its first schedulable task or the online set changes, both of
+    /// which move the scheduler's [`idle_work_mark`]. After each handler
+    /// that moved it, [`recheck_held`](Self::recheck_held) queues, under
+    /// its drawn key, each held-back reschedule whose CPU now fails the
+    /// test. So a held-back reschedule that is never queued would have
+    /// popped on a CPU that still passed it, as a no-op. Only the engine's
+    /// event count changes, which the report does not contain.
+    ///
+    /// [`idle_work_mark`]: oversub_sched::Scheduler::idle_work_mark
     pub(crate) fn sched_resched(&mut self, at: SimTime, cpu: usize) {
-        if self.reference {
-            self.queue.schedule_nocancel(at, Event::Resched(cpu));
-            return;
-        }
-        if self.resched_pending[cpu] == Some((at, self.now, self.queue.seq_mark())) {
+        if !self.queue.is_classic() && self.resched_is_dead(cpu) {
+            let key = self.queue.reserve(at);
+            self.held.push((key, cpu));
             return;
         }
         self.queue.schedule_nocancel(at, Event::Resched(cpu));
-        self.resched_pending[cpu] = Some((at, self.now, self.queue.seq_mark()));
+    }
+
+    /// True if `Event::Resched(cpu)` popped now would start nothing and
+    /// change nothing but `cpu`'s idle accounting (see `on_resched`).
+    /// `idle_pull` cannot give the CPU a task while it holds VB-parked
+    /// tasks (the poll branch returns first), while no runqueue has a
+    /// schedulable waiter, or when no unpinned task may run there.
+    fn resched_is_dead(&self, cpu: usize) -> bool {
+        let c = &self.sched.cpus[cpu];
+        let pullable = cpu < 64 && self.pull_mask & (1 << cpu) != 0;
+        self.sched.online[cpu]
+            && c.current.is_none()
+            && c.rq.nr_schedulable() == 0
+            && c.skip_release.is_empty()
+            && (c.rq.nr_vb_parked() > 0 || self.sched.waiting_queues() == 0 || !pullable)
+    }
+
+    /// Re-test the held-back reschedules after a handler that moved the
+    /// scheduler's idle-work mark: drop those whose key is already behind
+    /// the popped event (each would have popped as a no-op), and queue
+    /// under its drawn key each one whose CPU now fails the test.
+    fn recheck_held(&mut self) {
+        let mut held = std::mem::take(&mut self.held);
+        held.retain(|&(key, cpu)| {
+            if self.queue.popped_after(key) {
+                return false;
+            }
+            if self.resched_is_dead(cpu) {
+                return true;
+            }
+            self.queue.schedule_reserved(key, Event::Resched(cpu));
+            false
+        });
+        self.held = held;
     }
 
     /// Arm `cpu`'s `timer` to fire at `at` for the current stint or
@@ -829,8 +881,9 @@ pub fn run_labelled(workload: &mut dyn Workload, config: &RunConfig, label: &str
 /// discrete events the engine processed — the denominator of the
 /// events-per-second throughput benchmark. The count is *not* part of
 /// [`RunReport`]: it is an engine-internal quantity that legitimately
-/// differs between the optimized and reference engines (resched
-/// coalescing), while every report metric stays bit-identical.
+/// differs between the optimized and reference engines (held-back
+/// reschedules, tickless idle, timer slots), while every report metric
+/// stays bit-identical.
 pub fn run_counted(
     workload: &mut dyn Workload,
     config: &RunConfig,

@@ -89,7 +89,7 @@ impl Scheduler {
         if !self.online[cpu.0] {
             return (migrations, 0);
         }
-        if !self.reference && self.waiter_board.get() == 0 {
+        if !self.reference && self.waiting_queues() == 0 {
             // No runqueue anywhere holds a schedulable waiter, so
             // `pick_victim` would return `None` for every source and the
             // pass below would migrate nothing at cost `BALANCE_PASS_NS`
@@ -150,7 +150,7 @@ impl Scheduler {
         if !self.params.idle_balance || !self.online[cpu.0] {
             return (None, 0);
         }
-        if !self.reference && self.waiter_board.get() == 0 {
+        if !self.reference && self.waiting_queues() == 0 {
             // No runqueue anywhere has a schedulable waiter, so the scan
             // below would find no candidate. Same result, O(1) — this is
             // the common case on wake-heavy workloads, where most resched

@@ -23,5 +23,5 @@ pub mod sched;
 pub use balance::{BALANCE_PASS_NS, MIGRATE_OP_NS};
 pub use cpu::{CpuState, CpuTimeStats};
 pub use params::SchedParams;
-pub use rq::{CfsRq, VB_TAIL_BASE};
+pub use rq::{CfsRq, WaiterBoard, VB_TAIL_BASE};
 pub use sched::{MigrationEvent, Pick, Scheduler, StopReason, WakeOutcome};

@@ -1,30 +1,68 @@
 //! The per-CPU CFS runqueue.
 //!
 //! Linux keeps runnable tasks in a red-black tree ordered by vruntime; we
-//! use a `BTreeSet<(vruntime, TaskId)>`, which has the same ordering
-//! semantics. Virtual blocking inserts parked tasks at the tree's tail by
-//! assigning them an arbitrarily large vruntime (above [`VB_TAIL_BASE`]);
-//! they are skipped by `pick_next` but still counted as load, which is what
-//! stabilizes the load balancer.
+//! keep a `Vec<(vruntime, TaskId)>` sorted in the same order, with
+//! binary-search insert and remove. A queue holds a handful of tasks, so
+//! shifting the tail on insert costs less than a tree's node allocations,
+//! and `pick_next` scans from the left of one contiguous array. Virtual
+//! blocking inserts parked tasks at the tail by assigning them an
+//! arbitrarily large vruntime (above [`VB_TAIL_BASE`]); they are skipped
+//! by `pick_next` but still counted as load, which is what stabilizes the
+//! load balancer.
 //!
 //! All task state is read through the struct-of-arrays [`TaskTable`]: the
 //! pick paths touch only the `vruntime`/`state`/`vb_blocked`/`bwd_skip`
 //! columns, so a scan stays in a handful of cache lines even with hundreds
 //! of tasks.
 
-use oversub_task::{TaskId, TaskState, TaskTable};
+use oversub_task::{TaskId, TaskTable};
 use std::cell::Cell;
-use std::collections::BTreeSet;
 use std::rc::Rc;
 
 /// Base of the vruntime region used to park virtually-blocked tasks.
 /// Anything above this sorts after every live task.
 pub const VB_TAIL_BASE: u64 = u64::MAX / 2;
 
+/// Machine-wide counts shared by every runqueue of one scheduler, kept
+/// on the 0↔nonzero transitions of each queue's `nr_schedulable`. The
+/// idle balancer reads [`queues`](Self::queues) to answer "is there
+/// anything to steal anywhere?" in O(1) (see `Scheduler::idle_pull`).
+#[derive(Debug, Default)]
+pub struct WaiterBoard {
+    /// Runqueues with at least one schedulable task.
+    queues: Cell<usize>,
+    /// Times a runqueue gained its first schedulable task.
+    rises: Cell<u64>,
+}
+
+impl WaiterBoard {
+    /// Runqueues with at least one schedulable task.
+    #[inline]
+    pub fn queues(&self) -> usize {
+        self.queues.get()
+    }
+
+    /// Times so far that a runqueue's schedulable count went from 0 to 1.
+    #[inline]
+    pub fn rises(&self) -> u64 {
+        self.rises.get()
+    }
+
+    fn rise(&self) {
+        self.queues.set(self.queues.get() + 1);
+        self.rises.set(self.rises.get() + 1);
+    }
+
+    fn fall(&self) {
+        self.queues.set(self.queues.get() - 1);
+    }
+}
+
 /// A CFS runqueue.
 #[derive(Clone, Debug, Default)]
 pub struct CfsRq {
-    tree: BTreeSet<(u64, TaskId)>,
+    /// Queued `(vruntime, task)` entries in ascending order.
+    entries: Vec<(u64, TaskId)>,
     /// Runnable tasks excluding VB-parked ones.
     nr_schedulable: usize,
     /// VB-parked tasks on this queue.
@@ -33,33 +71,8 @@ pub struct CfsRq {
     min_vruntime: u64,
     /// Sequence used to order VB-parked tasks FIFO at the tail.
     vb_seq: u64,
-    /// Cached unforced pick: the leftmost pickable `(vruntime, TaskId)` as
-    /// of the last scan, maintained across enqueue/dequeue/requeue so
-    /// `pick_next` is O(1) amortized. `None` means "unknown — scan".
-    /// Interior mutability keeps `pick_next(&self)` read-only for callers.
-    pick_cache: Cell<Option<(u64, TaskId)>>,
-    /// When set, `pick_next` always scans (reference mode; the cache is
-    /// bypassed and never populated).
-    scan_mode: Cell<bool>,
-    /// Machine-wide count of runqueues with at least one schedulable
-    /// waiter, shared by every runqueue of one scheduler. Maintained on
-    /// the 0↔nonzero transitions of `nr_schedulable` so the idle balancer
-    /// can answer "is there anything to steal anywhere?" in O(1) instead
-    /// of striding over every CPU's state (see `Scheduler::idle_pull`).
-    waiter_board: Option<Rc<Cell<usize>>>,
-}
-
-/// Can `pick_next` return this in-tree entry as an unforced pick?
-///
-/// Branch-light on purpose: the three column reads are independent loads
-/// from dense byte arrays and fold into one predicate, instead of chasing
-/// a task struct across cache lines per test.
-#[inline]
-fn pickable(tasks: &TaskTable, tid: TaskId, vruntime: u64) -> bool {
-    vruntime < VB_TAIL_BASE
-        && tasks.state[tid.0] == TaskState::Runnable
-        && !tasks.vb_blocked[tid.0]
-        && !tasks.bwd_skip[tid.0]
+    /// The scheduler's shared [`WaiterBoard`], if attached.
+    waiter_board: Option<Rc<WaiterBoard>>,
 }
 
 impl CfsRq {
@@ -84,7 +97,7 @@ impl CfsRq {
     /// the balancer sees: under VB, blocked tasks still contribute.
     #[inline]
     pub fn nr_queued(&self) -> usize {
-        self.tree.len()
+        self.entries.len()
     }
 
     /// Current minimum-vruntime floor.
@@ -96,30 +109,57 @@ impl CfsRq {
     /// True if nothing (not even a parked task) is queued.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
+        self.entries.is_empty()
     }
 
-    /// Share the machine-wide waiter count with this runqueue. Folds the
-    /// queue's current population into the count, so it can be attached
+    /// Share the scheduler's waiter board with this runqueue. Folds the
+    /// queue's current population into the board, so it can be attached
     /// at any point.
-    pub fn attach_waiter_board(&mut self, board: Rc<Cell<usize>>) {
+    pub fn attach_waiter_board(&mut self, board: Rc<WaiterBoard>) {
         if self.nr_schedulable > 0 {
-            board.set(board.get() + 1);
+            board.rise();
         }
         self.waiter_board = Some(board);
     }
 
     #[inline]
-    fn waiters_became_nonzero(&self) {
-        if let Some(b) = &self.waiter_board {
-            b.set(b.get() + 1);
+    fn add_schedulable(&mut self) {
+        self.nr_schedulable += 1;
+        if self.nr_schedulable == 1 {
+            if let Some(b) = &self.waiter_board {
+                b.rise();
+            }
         }
     }
 
     #[inline]
-    fn waiters_became_zero(&self) {
-        if let Some(b) = &self.waiter_board {
-            b.set(b.get() - 1);
+    fn remove_schedulable(&mut self) {
+        self.nr_schedulable -= 1;
+        if self.nr_schedulable == 0 {
+            if let Some(b) = &self.waiter_board {
+                b.fall();
+            }
+        }
+    }
+
+    /// Insert `key` at its sorted position; false if it is already there.
+    fn insert(&mut self, key: (u64, TaskId)) -> bool {
+        let i = self.entries.partition_point(|e| *e < key);
+        if self.entries.get(i) == Some(&key) {
+            return false;
+        }
+        self.entries.insert(i, key);
+        true
+    }
+
+    /// Remove `key`; false if it is not queued.
+    fn remove(&mut self, key: (u64, TaskId)) -> bool {
+        match self.entries.binary_search(&key) {
+            Ok(i) => {
+                self.entries.remove(i);
+                true
+            }
+            Err(_) => false,
         }
     }
 
@@ -139,54 +179,23 @@ impl CfsRq {
             vb || vruntime < VB_TAIL_BASE,
             "non-parked task {tid:?} with tail-region vruntime {vruntime}"
         );
-        let fresh = self.tree.insert((vruntime, tid));
+        let fresh = self.insert((vruntime, tid));
         debug_assert!(fresh, "task {tid:?} double-enqueued");
         if vb {
             self.nr_vb_parked += 1;
         } else {
-            self.nr_schedulable += 1;
-            if self.nr_schedulable == 1 {
-                self.waiters_became_nonzero();
-            }
-        }
-        self.note_inserted(tasks, tid, vruntime);
-    }
-
-    /// Fold a freshly placed entry into the pick cache: a pickable entry
-    /// left of the cached one becomes the new cached pick. A `None` cache
-    /// stays `None` (a smaller unknown entry may exist) unless the tree
-    /// holds only this entry.
-    fn note_inserted(&self, tasks: &TaskTable, tid: TaskId, vruntime: u64) {
-        if self.scan_mode.get() || !pickable(tasks, tid, vruntime) {
-            return;
-        }
-        let key = (vruntime, tid);
-        match self.pick_cache.get() {
-            Some(c) if key < c => self.pick_cache.set(Some(key)),
-            Some(_) => {}
-            None => {
-                if self.tree.len() == 1 {
-                    self.pick_cache.set(Some(key));
-                }
-            }
+            self.add_schedulable();
         }
     }
 
     /// Remove a task (must be queued with exactly its current vruntime).
     pub fn dequeue(&mut self, tasks: &TaskTable, tid: TaskId) {
-        let vruntime = tasks.vruntime[tid.0];
-        let existed = self.tree.remove(&(vruntime, tid));
+        let existed = self.remove((tasks.vruntime[tid.0], tid));
         debug_assert!(existed, "task {tid:?} not on queue");
-        if self.pick_cache.get() == Some((vruntime, tid)) {
-            self.pick_cache.set(None);
-        }
         if tasks.vb_blocked[tid.0] {
             self.nr_vb_parked -= 1;
         } else {
-            self.nr_schedulable -= 1;
-            if self.nr_schedulable == 0 {
-                self.waiters_became_zero();
-            }
+            self.remove_schedulable();
             self.update_min_vruntime();
         }
     }
@@ -194,27 +203,16 @@ impl CfsRq {
     /// Reposition a task whose vruntime changed from `old_vruntime`.
     /// `was_vb` describes its parked status while at `old_vruntime`.
     pub fn requeue(&mut self, old_vruntime: u64, was_vb: bool, tasks: &TaskTable, tid: TaskId) {
-        let existed = self.tree.remove(&(old_vruntime, tid));
+        let existed = self.remove((old_vruntime, tid));
         debug_assert!(existed, "task {tid:?} not on queue for requeue");
-        if self.pick_cache.get() == Some((old_vruntime, tid)) {
-            self.pick_cache.set(None);
-        }
-        let vruntime = tasks.vruntime[tid.0];
-        self.tree.insert((vruntime, tid));
-        self.note_inserted(tasks, tid, vruntime);
+        self.insert((tasks.vruntime[tid.0], tid));
         match (was_vb, tasks.vb_blocked[tid.0]) {
             (true, false) => {
                 self.nr_vb_parked -= 1;
-                self.nr_schedulable += 1;
-                if self.nr_schedulable == 1 {
-                    self.waiters_became_nonzero();
-                }
+                self.add_schedulable();
             }
             (false, true) => {
-                self.nr_schedulable -= 1;
-                if self.nr_schedulable == 0 {
-                    self.waiters_became_zero();
-                }
+                self.remove_schedulable();
                 self.nr_vb_parked += 1;
             }
             _ => {}
@@ -227,41 +225,10 @@ impl CfsRq {
     /// skip-flagged, the leftmost is returned (the caller clears its flag).
     ///
     /// Returns `(task, forced)` where `forced` means a skip flag had to be
-    /// overridden.
-    ///
-    /// O(1) amortized: the leftmost pickable entry is cached across calls
-    /// and revalidated here (tree membership + schedulability + skip flag);
-    /// only a miss pays for the ordered scan, whose unforced result is
-    /// cached for the next call. Forced picks (every schedulable task
-    /// skip-flagged) are never cached. External eligibility changes that
-    /// bypass the queue API — BWD skip-flag expiry on in-tree tasks — must
-    /// call [`CfsRq::invalidate_pick_cache`].
+    /// overridden. A scan from the left, which stops at the parked region.
     pub fn pick_next(&self, tasks: &TaskTable) -> Option<(TaskId, bool)> {
-        if !self.scan_mode.get() {
-            if let Some((vr, tid)) = self.pick_cache.get() {
-                if tasks.vruntime[tid.0] == vr
-                    && pickable(tasks, tid, vr)
-                    && self.tree.contains(&(vr, tid))
-                {
-                    return Some((tid, false));
-                }
-                self.pick_cache.set(None);
-            }
-        }
-        let picked = self.pick_next_scan(tasks);
-        if !self.scan_mode.get() {
-            if let Some((tid, false)) = picked {
-                self.pick_cache.set(Some((tasks.vruntime[tid.0], tid)));
-            }
-        }
-        picked
-    }
-
-    /// The uncached ordered scan behind [`CfsRq::pick_next`] (also the
-    /// reference model for the cache's property tests).
-    pub fn pick_next_scan(&self, tasks: &TaskTable) -> Option<(TaskId, bool)> {
         let mut first_skipped: Option<TaskId> = None;
-        for &(vr, tid) in &self.tree {
+        for &(vr, tid) in &self.entries {
             if vr >= VB_TAIL_BASE {
                 break; // parked region; nothing schedulable beyond
             }
@@ -279,25 +246,12 @@ impl CfsRq {
         first_skipped.map(|t| (t, true))
     }
 
-    /// Drop the cached pick. Must be called whenever an in-tree task's
-    /// eligibility changes without going through
-    /// enqueue/dequeue/requeue — today that is BWD skip-flag expiry.
-    #[inline]
-    pub fn invalidate_pick_cache(&self) {
-        self.pick_cache.set(None);
-    }
-
-    /// Force `pick_next` to always use the ordered scan (reference mode).
-    pub fn set_scan_mode(&self, on: bool) {
-        self.scan_mode.set(on);
-        self.pick_cache.set(None);
-    }
-
     /// Leftmost VB-parked task, if any (used for flag-poll rotation when a
     /// core has only parked tasks).
     pub fn first_vb_parked(&self, tasks: &TaskTable) -> Option<TaskId> {
-        self.tree
-            .range((VB_TAIL_BASE, TaskId(0))..)
+        let parked = self.entries.partition_point(|&(vr, _)| vr < VB_TAIL_BASE);
+        self.entries[parked..]
+            .iter()
             .map(|&(_, tid)| tid)
             .find(|&tid| tasks.vb_blocked[tid.0])
     }
@@ -308,20 +262,20 @@ impl CfsRq {
         &'a self,
         tasks: &'a TaskTable,
     ) -> impl Iterator<Item = TaskId> + 'a {
-        self.tree
+        self.entries
             .iter()
             .take_while(|&&(vr, _)| vr < VB_TAIL_BASE)
             .map(|&(_, tid)| tid)
             .filter(move |&tid| tasks.schedulable(tid))
     }
 
-    /// Consistency check (diagnostics): recount schedulable entries from
-    /// the tree and compare with the cached counter. Returns
-    /// `(counter, tree_schedulable, tree_entries_in_parked_region)`.
+    /// Consistency check (diagnostics): recount schedulable entries and
+    /// compare with the cached counter. Returns
+    /// `(counter, recounted_schedulable, entries_in_parked_region)`.
     pub fn audit(&self, tasks: &TaskTable) -> (usize, usize, usize) {
         let mut sched = 0;
         let mut parked_region = 0;
-        for &(vr, tid) in &self.tree {
+        for &(vr, tid) in &self.entries {
             if vr >= VB_TAIL_BASE {
                 parked_region += 1;
                 continue;
@@ -335,28 +289,30 @@ impl CfsRq {
 
     /// All entries (diagnostics).
     pub fn entries(&self) -> Vec<(u64, TaskId)> {
-        self.tree.iter().copied().collect()
+        self.entries.clone()
+    }
+
+    /// The leftmost entry's vruntime, if it is outside the parked region.
+    fn leftmost_live(&self) -> Option<u64> {
+        self.entries
+            .first()
+            .map(|&(vr, _)| vr)
+            .filter(|&vr| vr < VB_TAIL_BASE)
     }
 
     /// Raise the min_vruntime floor to track the leftmost live entry.
     fn update_min_vruntime(&mut self) {
-        if let Some(&(vr, _)) = self.tree.iter().next() {
-            if vr < VB_TAIL_BASE && vr > self.min_vruntime {
+        if let Some(vr) = self.leftmost_live() {
+            if vr > self.min_vruntime {
                 self.min_vruntime = vr;
             }
         }
     }
 
     /// Account `delta` of execution to the floor as the current task runs
-    /// (the current task is not in the tree while running, matching CFS).
+    /// (the current task is not on the queue while running, matching CFS).
     pub fn advance_min_vruntime(&mut self, curr_vruntime: u64) {
-        let leftmost = self
-            .tree
-            .iter()
-            .next()
-            .map(|&(vr, _)| vr)
-            .filter(|&vr| vr < VB_TAIL_BASE);
-        let target = match leftmost {
+        let target = match self.leftmost_live() {
             Some(l) => l.min(curr_vruntime),
             None => curr_vruntime,
         };

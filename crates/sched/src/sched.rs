@@ -10,11 +10,10 @@
 
 use crate::cpu::CpuState;
 use crate::params::SchedParams;
-use crate::rq::VB_TAIL_BASE;
+use crate::rq::{WaiterBoard, VB_TAIL_BASE};
 use oversub_hw::{CpuId, MemModel, Topology};
 use oversub_simcore::SimTime;
 use oversub_task::{TaskId, TaskState, TaskTable};
-use std::cell::Cell;
 use std::rc::Rc;
 
 /// What `pick_next` decided for a CPU.
@@ -92,18 +91,20 @@ pub struct Scheduler {
     /// Online mask: offline CPUs are never picked as wake or balance
     /// destinations (CPU elasticity).
     pub online: Vec<bool>,
-    /// Machine-wide count of runqueues with schedulable waiters (shared
-    /// with every [`crate::rq::CfsRq`]): the idle balancer's O(1)
-    /// "anything to steal?" check.
-    pub(crate) waiter_board: Rc<Cell<usize>>,
+    /// Calls of [`set_online_count`](Self::set_online_count) so far.
+    online_changes: u64,
+    /// Machine-wide count of runqueues with schedulable waiters, and of
+    /// their 0→1 transitions (shared with every [`crate::rq::CfsRq`]):
+    /// the idle balancer's O(1) "anything to steal?" check.
+    pub(crate) waiter_board: Rc<WaiterBoard>,
     /// Active-core bitset: bit `i` of word `i / 64` is set exactly when
     /// CPU `i` has a current task. Maintained on the only two transitions
     /// (`start`, `stop_current`), so "is this core running anything" and
     /// "how many cores are busy" are O(1)/O(words) without striding over
     /// `cpus` — the basis of the O(active) mechanism-timer dispatch.
     active_mask: Vec<u64>,
-    /// Reference (pre-overhaul) mode: uncached picks and full balancer
-    /// scans. See [`Scheduler::set_reference_mode`].
+    /// Reference (pre-overhaul) mode: full balancer scans. See
+    /// [`Scheduler::set_reference_mode`].
     pub(crate) reference: bool,
     /// BWD skip flags released by round expiry since the last drain
     /// (consumed via [`Scheduler::take_skips_released`] by the BWD
@@ -114,7 +115,7 @@ pub struct Scheduler {
 impl Scheduler {
     /// Build a scheduler for `topo`.
     pub fn new(topo: Topology, params: SchedParams, mem: MemModel, vb_enabled: bool) -> Self {
-        let waiter_board = Rc::new(Cell::new(0));
+        let waiter_board = Rc::new(WaiterBoard::default());
         let cpus: Vec<CpuState> = (0..topo.num_cpus())
             .map(|_| {
                 let mut c = CpuState::new(params.rq_lock);
@@ -132,6 +133,7 @@ impl Scheduler {
             vb_enabled,
             pending_penalty: Vec::new(),
             online,
+            online_changes: 0,
             waiter_board,
             active_mask,
             reference: false,
@@ -181,22 +183,34 @@ impl Scheduler {
             .iter()
             .filter(|c| c.rq.nr_schedulable() > 0)
             .count();
-        let board = self.waiter_board.get();
+        let board = self.waiter_board.queues();
         (board != actual).then(|| {
             format!("waiter board reads {board} but {actual} runqueues have schedulable tasks")
         })
     }
 
-    /// Switch the scheduler to its pre-overhaul reference internals:
-    /// every runqueue scans instead of using its pick cache, and the
+    /// Switch the scheduler to its pre-overhaul reference internals: the
     /// balancer skips its O(1) waiter-board fast paths. Behaviour is
     /// bit-identical either way (the golden determinism test proves it);
     /// this exists as the baseline for throughput comparisons.
     pub fn set_reference_mode(&mut self, on: bool) {
         self.reference = on;
-        for c in &self.cpus {
-            c.rq.set_scan_mode(on);
-        }
+    }
+
+    /// Runqueues holding at least one schedulable task, machine-wide. While
+    /// it reads zero, `idle_pull` finds nothing to steal.
+    #[inline]
+    pub fn waiting_queues(&self) -> usize {
+        self.waiter_board.queues()
+    }
+
+    /// A counter that moves whenever an idle CPU may newly find work: a
+    /// runqueue gained its first schedulable task, or the online set was
+    /// set. Between two equal readings, no runqueue's schedulable count
+    /// rose from zero and no CPU went on- or offline.
+    #[inline]
+    pub fn idle_work_mark(&self) -> u64 {
+        self.waiter_board.rises() + self.online_changes
     }
 
     /// Bring exactly the first `n` CPUs online (CPU elasticity). The caller
@@ -205,6 +219,7 @@ impl Scheduler {
         for (i, o) in self.online.iter_mut().enumerate() {
             *o = i < n;
         }
+        self.online_changes += 1;
     }
 
     /// Number of online CPUs.
@@ -278,12 +293,10 @@ impl Scheduler {
         let round = self.cpus[cpu.0].pick_round;
         let c = &mut self.cpus[cpu.0];
         if !c.skip_release.is_empty() {
-            let mut released = false;
             let mut released_count = 0u64;
             c.skip_release.retain(|&tid, &mut r| {
                 if round >= r {
                     tasks.bwd_skip[tid.0] = false;
-                    released = true;
                     released_count += 1;
                     false
                 } else {
@@ -291,11 +304,6 @@ impl Scheduler {
                 }
             });
             self.skips_released += released_count;
-            if released {
-                // Skip expiry changes in-tree eligibility without touching
-                // the runqueue, so the cached pick may not be leftmost.
-                c.rq.invalidate_pick_cache();
-            }
         }
         match self.cpus[cpu.0].rq.pick_next(tasks) {
             Some((tid, forced)) => Pick::Run(tid, forced),

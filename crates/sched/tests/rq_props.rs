@@ -4,9 +4,10 @@
 //! park/unpark protocol under arbitrary operation sequences.
 
 use oversub_hw::CpuId;
-use oversub_sched::{CfsRq, VB_TAIL_BASE};
+use oversub_sched::{CfsRq, WaiterBoard, VB_TAIL_BASE};
 use oversub_task::{Action, FnProgram, Task, TaskId, TaskTable};
 use proptest::prelude::*;
+use std::rc::Rc;
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
@@ -46,14 +47,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Under any valid op sequence, the cached counters always agree with
-    /// a recount of the tree, and pick_next never returns a parked task.
+    /// a recount of the queue, pick_next never returns a parked task, and
+    /// the shared waiter board counts exactly this queue's 0→1 transitions.
     #[test]
     fn counters_and_picks_stay_consistent(ops in arb_ops()) {
         let mut rq = CfsRq::new();
+        let board = Rc::new(WaiterBoard::default());
+        rq.attach_waiter_board(Rc::clone(&board));
+        let mut rises = 0u64;
         let mut tasks = mk_tasks();
         // queued[i]: is task i currently on the queue?
         let mut queued = [false; 8];
         for op in ops {
+            let was_waiting = rq.nr_schedulable() > 0;
             match op {
                 Op::Enqueue(i, v) => {
                     if !queued[i] && !tasks.vb_blocked[i] {
@@ -101,82 +107,9 @@ proptest! {
             prop_assert_eq!(parked_entries, parked_actual);
             let total = (0..8).filter(|&i| queued[i]).count();
             prop_assert_eq!(rq.nr_queued(), total);
-        }
-    }
-
-    /// The cached pick always agrees with the uncached ordered scan, and
-    /// the shared waiter board always equals "this queue has schedulable
-    /// waiters", under arbitrary op sequences including BWD skip flags.
-    ///
-    /// Skip-flag discipline mirrors the engine: *setting* a flag needs no
-    /// cache action (the cache revalidates pickability on every hit), but
-    /// *clearing* one must call `invalidate_pick_cache` — a task left of
-    /// the cached entry may have just become pickable.
-    #[test]
-    fn cached_pick_matches_scan(ops in arb_ops(), skips in proptest::collection::vec((0usize..8, 0u64..2), 0..64)) {
-        use std::cell::Cell;
-        use std::rc::Rc;
-
-        let mut rq = CfsRq::new();
-        let board = Rc::new(Cell::new(0usize));
-        rq.attach_waiter_board(Rc::clone(&board));
-        let mut tasks = mk_tasks();
-        let mut queued = [false; 8];
-        let mut skips = skips.into_iter();
-        for op in ops {
-            match op {
-                Op::Enqueue(i, v) => {
-                    if !queued[i] && !tasks.vb_blocked[i] {
-                        tasks.vruntime[i] = v;
-                        rq.enqueue(&tasks, TaskId(i));
-                        queued[i] = true;
-                    }
-                }
-                Op::Dequeue(i) => {
-                    if queued[i] && !tasks.vb_blocked[i] {
-                        rq.dequeue(&tasks, TaskId(i));
-                        queued[i] = false;
-                    }
-                }
-                Op::Park(i) => {
-                    if queued[i] && !tasks.vb_blocked[i] {
-                        let old = tasks.vruntime[i];
-                        let tail = rq.next_vb_tail_vruntime();
-                        tasks.vb_park(TaskId(i), tail);
-                        rq.requeue(old, false, &tasks, TaskId(i));
-                    }
-                }
-                Op::Unpark(i) => {
-                    if queued[i] && tasks.vb_blocked[i] {
-                        let old = tasks.vruntime[i];
-                        tasks.vb_unpark(TaskId(i));
-                        rq.requeue(old, true, &tasks, TaskId(i));
-                    }
-                }
-                Op::Pick => {
-                    // Interleave skip-flag churn with picks.
-                    if let Some((i, on)) = skips.next().map(|(i, b)| (i, b == 1)) {
-                        let was = tasks.bwd_skip[i];
-                        tasks.bwd_skip[i] = on;
-                        if was && !on {
-                            rq.invalidate_pick_cache();
-                        }
-                    }
-                    prop_assert_eq!(
-                        rq.pick_next(&tasks),
-                        rq.pick_next_scan(&tasks),
-                        "cached pick diverged from ordered scan"
-                    );
-                    // A second pick immediately after exercises the
-                    // cache-hit path against the same scan.
-                    prop_assert_eq!(rq.pick_next(&tasks), rq.pick_next_scan(&tasks));
-                }
-            }
-            prop_assert_eq!(
-                board.get(),
-                usize::from(rq.nr_schedulable() > 0),
-                "waiter board out of sync"
-            );
+            rises += u64::from(!was_waiting && rq.nr_schedulable() > 0);
+            prop_assert_eq!(board.queues(), usize::from(rq.nr_schedulable() > 0));
+            prop_assert_eq!(board.rises(), rises, "waiter board missed a rise");
         }
     }
 

@@ -18,7 +18,10 @@
 //!
 //! - The default **fast** queue pops the minimum key over three sources:
 //!   - a binary heap for irregular events, with O(1) slot/generation
-//!     cancellation (no hashing on `peek_time`/`pop`);
+//!     cancellation (no hashing on `peek_time`/`pop`), fronted by one
+//!     slot that holds the earliest heap-bound entry while it is earlier
+//!     than the heap's top, so an event scheduled to be next pops
+//!     without a sift;
 //!   - per-cadence FIFO lanes for timers declared through
 //!     [`EventQueue::schedule_cadenced`];
 //!   - re-armable timer slots ([`EventQueue::arm`]): an indexed heap
@@ -40,6 +43,11 @@
 //! lookup instead of a hash probe, cancel-after-pop is detected exactly
 //! via slot generations (the classic structure leaked those seqs forever),
 //! and [`EventQueue::len`] is an exact live count, not an upper bound.
+//!
+//! A caller can also draw an event's key without queuing the event
+//! ([`EventQueue::reserve`]) and queue it under that key later
+//! ([`EventQueue::schedule_reserved`]), or never: the engine holds back
+//! reschedules that provably start nothing this way (DESIGN.md §8).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -65,6 +73,10 @@ const NO_SLOT: u32 = u32::MAX;
 /// Pop-order key of a fast-queue entry: `(time, scheduled_at, seq)` (see
 /// the module docs).
 type Key = (SimTime, SimTime, u64);
+
+/// A key drawn by [`EventQueue::reserve`] for an event not yet queued.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Reserved(Key);
 
 /// Tie-break key for a sequence number under a permutation salt.
 ///
@@ -394,9 +406,12 @@ enum Source {
     Lane(usize),
 }
 
-/// The default implementation: slab-cancellation heap + per-cadence FIFO
-/// lanes + re-armable timer slots.
+/// The default implementation: slab-cancellation heap with a front slot
+/// + per-cadence FIFO lanes + re-armable timer slots.
 struct FastQueue<E> {
+    /// The earliest heap-bound entry, kept out of `heap` while it is
+    /// earlier than every entry there: the heap source's minimum.
+    front: Option<Entry<E>>,
     heap: BinaryHeap<Entry<E>>,
     lanes: Vec<Lane<E>>,
     timers: TimerSlots<E>,
@@ -413,13 +428,14 @@ struct FastQueue<E> {
     /// Sim time of the most recent pop: the `scheduled_at` stamp of every
     /// ordinary schedule call.
     now: SimTime,
-    /// `scheduled_at` of the most recently popped entry.
-    popped_sched_at: SimTime,
+    /// Key of the most recently popped entry.
+    popped: Key,
 }
 
 impl<E> FastQueue<E> {
     fn new() -> Self {
         FastQueue {
+            front: None,
             heap: BinaryHeap::new(),
             lanes: Vec::new(),
             timers: TimerSlots::new(),
@@ -429,7 +445,7 @@ impl<E> FastQueue<E> {
             live: 0,
             cancelled_pending: 0,
             now: SimTime::ZERO,
-            popped_sched_at: SimTime::ZERO,
+            popped: (SimTime::ZERO, SimTime::ZERO, 0),
         }
     }
 
@@ -475,11 +491,25 @@ impl<E> FastQueue<E> {
         }
     }
 
+    /// Put a heap-bound entry in the front slot if it is earlier than
+    /// everything the heap source holds, else in the heap. An entry the
+    /// front slot gives up goes to the heap.
+    fn push_heap(&mut self, e: Entry<E>) {
+        match &mut self.front {
+            Some(f) if e.key() < f.key() => self.heap.push(std::mem::replace(f, e)),
+            Some(_) => self.heap.push(e),
+            None if self.heap.peek().is_none_or(|top| e.key() < top.key()) => {
+                self.front = Some(e);
+            }
+            None => self.heap.push(e),
+        }
+    }
+
     fn schedule(&mut self, at: SimTime, payload: E) -> EventHandle {
         let slot = self.alloc_slot();
         let gen = self.slots[slot as usize].gen;
         let e = self.entry(at, self.now, slot, payload);
-        self.heap.push(e);
+        self.push_heap(e);
         EventHandle::fast(slot, gen)
     }
 
@@ -488,7 +518,7 @@ impl<E> FastQueue<E> {
     /// hot path: it never cancels by handle.
     fn schedule_nocancel(&mut self, at: SimTime, payload: E) {
         let e = self.entry(at, self.now, NO_SLOT, payload);
-        self.heap.push(e);
+        self.push_heap(e);
     }
 
     /// A never-cancelled heap entry keyed as though scheduled at sim time
@@ -496,7 +526,26 @@ impl<E> FastQueue<E> {
     fn schedule_backdated(&mut self, at: SimTime, sched_at: SimTime, payload: E) {
         debug_assert!(sched_at <= self.now, "back-dated into the future");
         let e = self.entry(at, sched_at, NO_SLOT, payload);
-        self.heap.push(e);
+        self.push_heap(e);
+    }
+
+    /// Draw the key an ordinary schedule call at `at` would take.
+    fn reserve(&mut self, at: SimTime) -> Reserved {
+        Reserved((at, self.now, self.draw_seq()))
+    }
+
+    /// Queue a never-cancelled entry under a reserved key.
+    fn schedule_reserved(&mut self, r: Reserved, payload: E) {
+        let (time, sched_at, seq) = r.0;
+        debug_assert!(r.0 > self.popped, "reserved key already passed");
+        self.live += 1;
+        self.push_heap(Entry {
+            time,
+            sched_at,
+            seq,
+            slot: NO_SLOT,
+            payload,
+        });
     }
 
     /// Append to the cadence's lane when the key is monotone against its
@@ -519,7 +568,7 @@ impl<E> FastQueue<E> {
         };
         match lane.map(|i| &mut self.lanes[i].q) {
             Some(q) if q.back().is_none_or(|b| b.key() <= e.key()) => q.push_back(e),
-            _ => self.heap.push(e),
+            _ => self.push_heap(e),
         }
     }
 
@@ -555,26 +604,35 @@ impl<E> FastQueue<E> {
         true
     }
 
-    /// Discard cancelled entries sitting on top of the heap, releasing
-    /// their slots for reuse. Free when nothing is cancelled.
+    /// True if `slot` belongs to a cancelled entry.
+    fn is_cancelled(&self, slot: u32) -> bool {
+        slot != NO_SLOT && self.slots[slot as usize].state == SlotState::Cancelled
+    }
+
+    /// Discard cancelled entries sitting in the front slot or on top of
+    /// the heap, releasing their slots for reuse. Free when nothing is
+    /// cancelled.
     fn drain_cancelled(&mut self) {
         while self.cancelled_pending > 0 {
-            let Some(top) = self.heap.peek() else { break };
-            let slot = top.slot;
-            if slot != NO_SLOT && self.slots[slot as usize].state == SlotState::Cancelled {
-                self.heap.pop();
-                self.release_slot(slot);
-                self.cancelled_pending -= 1;
-            } else {
-                break;
-            }
+            let slot = match (&self.front, self.heap.peek()) {
+                (Some(f), _) if self.is_cancelled(f.slot) => self.front.take().map(|f| f.slot),
+                (_, Some(top)) if self.is_cancelled(top.slot) => self.heap.pop().map(|e| e.slot),
+                _ => None,
+            };
+            let Some(slot) = slot else { break };
+            self.release_slot(slot);
+            self.cancelled_pending -= 1;
         }
     }
 
     /// The minimum live key and the source holding it.
     fn min_source(&mut self) -> Option<(Key, Source)> {
         self.drain_cancelled();
-        let mut best = self.heap.peek().map(|e| (e.key(), Source::Heap));
+        let mut best = self
+            .front
+            .as_ref()
+            .or_else(|| self.heap.peek())
+            .map(|e| (e.key(), Source::Heap));
         let mut consider = |k: Key, src: Source| {
             if best.is_none_or(|(b, _)| k < b) {
                 best = Some((k, src));
@@ -593,9 +651,9 @@ impl<E> FastQueue<E> {
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
         let (_, src) = self.min_source()?;
-        let ((time, sched_at, _), payload) = match src {
+        let (key, payload) = match src {
             Source::Heap => {
-                let e = self.heap.pop()?;
+                let e = self.front.take().or_else(|| self.heap.pop())?;
                 if e.slot != NO_SLOT {
                     self.release_slot(e.slot);
                 }
@@ -608,9 +666,9 @@ impl<E> FastQueue<E> {
             }
         };
         self.live -= 1;
-        self.now = time;
-        self.popped_sched_at = sched_at;
-        Some((time, payload))
+        self.now = key.0;
+        self.popped = key;
+        Some((key.0, payload))
     }
 }
 
@@ -841,7 +899,7 @@ impl<E> EventQueue<E> {
     /// The entry is keyed exactly as [`schedule_nocancel`] would key it:
     /// it draws the next sequence number and is stamped with the current
     /// sim time, so it pops in the same place among every other source's
-    /// events, and [`seq_mark`](Self::seq_mark) moves as for any schedule.
+    /// events.
     ///
     /// Only the fast queue keeps the slot. The classic queue treats `arm`
     /// as a plain `schedule`, so it keeps the superseded entry and pops
@@ -880,16 +938,43 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Monotone counter advanced on every `schedule*` and
-    /// [`arm`](Self::arm) call (it is the queue's internal tie-break
-    /// sequence). Two reads returning the same value prove that *no
-    /// event of any kind* was scheduled in between, which callers use to
-    /// detect that two entries are adjacent among same-time events (see
-    /// the engine's resched coalescing).
-    pub fn seq_mark(&self) -> u64 {
+    /// Draw the key that [`schedule_nocancel`](Self::schedule_nocancel)
+    /// would give an event at `at` now, without queuing anything: it
+    /// takes the next sequence number and the current sim time. The
+    /// caller may queue the event under this key later with
+    /// [`schedule_reserved`](Self::schedule_reserved), where it pops as
+    /// though it had been scheduled now, or drop it.
+    ///
+    /// Meant for the fast queue. The classic queue keys by insertion, so
+    /// it draws nothing here, and a reserved event queued later pops as
+    /// a plain `schedule` made then.
+    pub fn reserve(&mut self, at: SimTime) -> Reserved {
+        match &mut self.imp {
+            Imp::Fast(q) => q.reserve(at),
+            Imp::Classic(_) => Reserved((at, SimTime::ZERO, 0)),
+        }
+    }
+
+    /// Queue `payload` under the key `r` drew (see
+    /// [`reserve`](Self::reserve)). The key must not be behind the most
+    /// recently popped event ([`popped_after`](Self::popped_after)):
+    /// an event queued there would pop out of order.
+    pub fn schedule_reserved(&mut self, r: Reserved, payload: E) {
+        match &mut self.imp {
+            Imp::Fast(q) => q.schedule_reserved(r, payload),
+            Imp::Classic(q) => {
+                q.schedule(r.0 .0, payload);
+            }
+        }
+    }
+
+    /// True if the most recently popped event's key is later than `r`:
+    /// an event reserved under `r` and queued would have popped before
+    /// it. Always false on the classic queue, which keeps no popped key.
+    pub fn popped_after(&self, r: Reserved) -> bool {
         match &self.imp {
-            Imp::Fast(q) => q.next_seq,
-            Imp::Classic(q) => q.next_seq,
+            Imp::Fast(q) => q.popped > r.0,
+            Imp::Classic(_) => false,
         }
     }
 
@@ -916,7 +1001,7 @@ impl<E> EventQueue<E> {
     /// no scheduled-at key.
     pub fn popped_scheduled_at(&self) -> SimTime {
         match &self.imp {
-            Imp::Fast(q) => q.popped_sched_at,
+            Imp::Fast(q) => q.popped.1,
             Imp::Classic(_) => SimTime::ZERO,
         }
     }
@@ -1167,10 +1252,14 @@ mod tests {
         let mut q = EventQueue::new();
         q.arm(2, SimTime::from_nanos(10), "dead");
         q.schedule_nocancel(SimTime::from_nanos(20), "live");
-        let mark = q.seq_mark();
+        let next_seq = |q: &EventQueue<&str>| match &q.imp {
+            Imp::Fast(f) => f.next_seq,
+            Imp::Classic(_) => unreachable!(),
+        };
+        let mark = next_seq(&q);
         q.disarm(2);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.seq_mark(), mark, "disarm draws no sequence number");
+        assert_eq!(next_seq(&q), mark, "disarm draws no sequence number");
         q.disarm(2);
         q.disarm(7);
         assert_eq!(q.len(), 1);
@@ -1307,10 +1396,62 @@ mod tests {
         }
         let Imp::Fast(f) = &q.imp else { unreachable!() };
         let in_lanes: usize = f.lanes.iter().map(|l| l.q.len()).sum();
-        // Heap: 1, 3, the early tick 0 and the eighth cadence's tick.
-        assert_eq!((f.heap.len(), in_lanes), (4, MAX_LANES + 1));
+        // Heap source (front slot and heap): 1, 3, the early tick 0 and
+        // the eighth cadence's tick.
+        let in_heap = f.heap.len() + usize::from(f.front.is_some());
+        assert_eq!((in_heap, in_lanes), (4, MAX_LANES + 1));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert_eq!(order, (0..5 + MAX_LANES as u64).collect::<Vec<_>>());
+    }
+
+    /// The front slot holds the earliest heap-bound entry while it is
+    /// earlier than the heap's top: an earlier push takes its place, a
+    /// later one goes to the heap, and a push after a pop is compared
+    /// with the heap's new top.
+    #[test]
+    fn front_slot_holds_the_earliest_heap_entry() {
+        let front = |q: &EventQueue<u64>| match &q.imp {
+            Imp::Fast(f) => (f.front.as_ref().map(|e| e.payload), f.heap.len()),
+            Imp::Classic(_) => unreachable!(),
+        };
+        let mut q = EventQueue::new();
+        for t in [50, 30, 40, 10] {
+            q.schedule_nocancel(SimTime::from_nanos(t), t);
+        }
+        assert_eq!(front(&q), (Some(10), 3));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(10), 10)));
+        assert_eq!(front(&q), (None, 3));
+        // Later than the heap's top (30): into the heap.
+        q.schedule_nocancel(SimTime::from_nanos(35), 35);
+        assert_eq!(front(&q), (None, 4));
+        q.schedule_nocancel(SimTime::from_nanos(20), 20);
+        assert_eq!(front(&q), (Some(20), 4));
+        // A cancelled front entry is skipped like a cancelled heap top.
+        let h = q.schedule(SimTime::from_nanos(15), 15);
+        assert!(q.cancel(h));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(20)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
+        assert_eq!(order, [20, 30, 35, 40, 50]);
+    }
+
+    /// A reserved key pops where it was drawn, among events scheduled
+    /// before and after it, however late it is queued.
+    #[test]
+    fn reserved_keys_pop_where_they_were_drawn() {
+        let t = SimTime::from_nanos(100);
+        let mut q = EventQueue::new();
+        q.schedule_nocancel(t, "a");
+        let r = q.reserve(t);
+        let dropped = q.reserve(SimTime::from_nanos(1));
+        q.schedule_nocancel(t, "c");
+        assert_eq!(q.len(), 2, "a reservation is not an event");
+        assert_eq!(q.pop(), Some((t, "a")));
+        assert!(!q.popped_after(r));
+        q.schedule_reserved(r, "b");
+        assert_eq!(q.pop(), Some((t, "b")));
+        assert!(!q.popped_after(r) && q.popped_after(dropped));
+        assert_eq!(q.pop(), Some((t, "c")));
+        assert!(q.popped_after(r) && q.pop().is_none());
     }
 
     /// The classic queue pops the same order as the fast queue for the

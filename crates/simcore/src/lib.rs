@@ -15,7 +15,7 @@ pub mod rng;
 pub mod time;
 pub mod vclock;
 
-pub use events::{EventHandle, EventQueue};
+pub use events::{EventHandle, EventQueue, Reserved};
 pub use pool::{JobPanic, PoolStats};
 pub use resource::{Grant, KernelLock, KernelLockParams};
 pub use rng::SimRng;

@@ -16,9 +16,11 @@
 //!    and sensor noise drives BWD's adaptive backoff.
 //! 4. **Bad configs are refused, not crashed on** — hand-found holes in
 //!    `RunConfig::validate()` and the engine's placement check, plus a
-//!    config fuzzer: whatever `validate()` accepts runs to a sound report
-//!    or comes back as `EngineError::InvalidConfig`.
+//!    config fuzzer: whatever `validate()` accepts runs to a sound report,
+//!    byte-identical to the reference engine's, or comes back as
+//!    `EngineError::InvalidConfig`.
 
+use oversub::sched::SchedParams;
 use oversub::simcore::SimTime;
 use oversub::workload::Workload;
 use oversub::workloads::memcached::Memcached;
@@ -26,8 +28,8 @@ use oversub::workloads::micro::{Primitive, PrimitiveStress};
 use oversub::workloads::pipeline::{SpinPipeline, WaitFlavor};
 use oversub::workloads::skeletons::{BenchProfile, Skeleton};
 use oversub::{
-    run, try_run, EngineError, FaultPlan, MachineSpec, MechCounters, Mechanism, Mechanisms,
-    RunConfig, RunReport, WatchdogParams,
+    run, try_run, ElasticEvent, EngineError, FaultPlan, MachineSpec, MechCounters, Mechanism,
+    Mechanisms, RunConfig, RunReport, WatchdogParams,
 };
 use proptest::prelude::*;
 
@@ -420,6 +422,53 @@ fn thread_placed_beyond_the_machine_is_rejected_without_a_panic() {
     );
 }
 
+/// Scheduler costs feed plain `u64` arithmetic: at `u64::MAX / 4` a
+/// context switch overflowed the vruntime charge of `stop_current` (the
+/// stint times 1024), and the per-CPU wakeup scan cost overflowed its
+/// product with the CPU count, panicking debug runs of `memcached-16T`'s
+/// config and wrapping in release. `validate()` caps each
+/// per-operation cost, and `try_run` must refuse the config.
+#[test]
+fn huge_scheduler_costs_are_rejected_without_a_panic() {
+    let cpus = Memcached::paper(16, 8, 60_000.0).total_cpus();
+    let base = RunConfig::vanilla(cpus)
+        .with_mech(Mechanisms::optimized())
+        .with_seed(42)
+        .with_max_time(SimTime::from_millis(20));
+    type Cost = fn(&mut SchedParams) -> &mut u64;
+    let costs: [(&str, Cost); 4] = [
+        ("ctx_switch_ns", |s| &mut s.ctx_switch_ns),
+        ("syscall_entry_ns", |s| &mut s.syscall_entry_ns),
+        ("vb_wake_ns", |s| &mut s.vb_wake_ns),
+        ("wakeup_scan_per_cpu_ns", |s| &mut s.wakeup_scan_per_cpu_ns),
+    ];
+    for (name, field) in costs {
+        let mut cfg = base.clone();
+        *field(&mut cfg.sched) = u64::MAX / 4;
+        let err = cfg.validate().expect_err("validate() must reject it");
+        assert!(err.contains(name), "unexpected message: {err}");
+        assert_eq!(refusal(&mut Memcached::paper(16, 8, 60_000.0), &cfg), err);
+    }
+}
+
+/// `RunConfig::validate`'s cap on one scheduler operation's cost.
+const SCHED_OP_CAP_NS: u64 = 1_000_000_000;
+
+/// A per-operation scheduler cost: small most of the time, else at the
+/// cap (accepted), just above it, or far above it (refused).
+fn cost_ns() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        0u64..5_000,
+        0u64..5_000,
+        0u64..5_000,
+        0u64..5_000,
+        0u64..5_000,
+        Just(SCHED_OP_CAP_NS),
+        Just(SCHED_OP_CAP_NS + 1),
+        (SCHED_OP_CAP_NS + 1)..u64::MAX / 4,
+    ]
+}
+
 /// 0 or 1 (the edges `validate()` guards) a quarter of the time each,
 /// else a value below `max`.
 fn edge_ns(max: u64) -> impl Strategy<Value = u64> {
@@ -471,21 +520,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Config fuzzer: any machine shape (zero dimensions included), core
-    /// count, mechanism preset, environment and value of the fields
-    /// `validate()` guards, crossed with three workload families whose
-    /// CPU demand may exceed the machine. `validate()` never panics. A
-    /// config it refuses, `try_run` refuses with the same message; one it
-    /// accepts runs to a report that passes `check()`, or is refused as
-    /// `InvalidConfig` for a thread placed beyond the machine.
+    /// count, mechanism preset, environment, pinning, elastic shrink and
+    /// grow, and value of the fields `validate()` guards, crossed with
+    /// three workload families whose CPU demand may exceed the machine.
+    /// `validate()` never panics. A config it refuses, `try_run` refuses
+    /// with the same message; one it accepts runs to a report that passes
+    /// `check()`, or is refused as `InvalidConfig` for a thread placed
+    /// beyond the machine. A run that ends within its event budget gives
+    /// the same report bytes on the reference engine (the engines pop
+    /// different numbers of events, so a run cut by the budget is exempt).
     #[test]
     fn fuzzed_configs_are_refused_or_run_clean(
         shape in (0usize..5, 0usize..10, 0usize..10, 0usize..10),
         initial_cores in prop_oneof![Just(None::<usize>), (0usize..11).prop_map(Some)],
         preset in 0usize..7,
-        vm in any::<bool>(),
+        env in (any::<bool>(), any::<bool>()),
         sched_ns in (edge_ns(20_000_000), edge_ns(2_000_000)),
         bwd_ns in (edge_ns(400_000), edge_ns(400_000)),
         ple_window_ns in edge_ns(100_000),
+        costs in (0usize..9, cost_ns()),
+        elastic in prop_oneof![
+            Just(None),
+            (1usize..8, 1usize..8, 0u64..10_000_000, 0u64..10_000_000).prop_map(Some),
+        ],
         max_events in 0u64..200_001,
         workload in (0usize..3, 1usize..17, 1usize..9),
         seed in any::<u64>(),
@@ -512,19 +569,43 @@ proptest! {
             .with_seed(seed)
             .with_max_time(SimTime::from_millis(20))
             .with_max_events(max_events);
+        let (vm, pinned) = env;
         if vm {
             cfg = cfg.in_vm();
         }
+        cfg.pinned = pinned;
         cfg.initial_cores = initial_cores;
         (cfg.sched.balance_interval_ns, cfg.sched.min_granularity_ns) = sched_ns;
         (cfg.bwd_params.interval_ns, cfg.bwd_params.check_cost_ns) = bwd_ns;
         cfg.ple_params.window_ns = ple_window_ns;
+        let (field, ns) = costs;
+        let s = &mut cfg.sched;
+        *[
+            &mut s.ctx_switch_ns,
+            &mut s.syscall_entry_ns,
+            &mut s.wakeup_fixed_ns,
+            &mut s.wakeup_scan_per_cpu_ns,
+            &mut s.rq_lock_hold_ns,
+            &mut s.rq_lock.base_cost_ns,
+            &mut s.rq_lock.per_waiter_ns,
+            &mut s.vb_wake_ns,
+            &mut s.vb_poll_ns,
+        ][field] = ns;
+        if let Some((shrink, grow, at, after)) = elastic {
+            cfg.elastic = vec![
+                ElasticEvent { at: SimTime::from_nanos(at), cores: shrink },
+                ElasticEvent { at: SimTime::from_nanos(at + after), cores: shrink + grow },
+            ];
+        }
         let (family, threads, cores) = workload;
-        let mut wl: Box<dyn Workload> = match family {
-            0 => Box::new(SpinPipeline::new(threads.max(2), 20, WaitFlavor::Flags)),
-            1 => Box::new(PrimitiveStress::new(threads, 50, Primitive::Mutex, 2_000)),
-            _ => Box::new(Memcached::paper(threads, cores, 40_000.0)),
+        let mk = || -> Box<dyn Workload> {
+            match family {
+                0 => Box::new(SpinPipeline::new(threads.max(2), 20, WaitFlavor::Flags)),
+                1 => Box::new(PrimitiveStress::new(threads, 50, Primitive::Mutex, 2_000)),
+                _ => Box::new(Memcached::paper(threads, cores, 40_000.0)),
+            }
         };
+        let mut wl = mk();
         let case = format!("{} ({threads}T, {cores} server cores) on {cfg:?}", wl.name());
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             (cfg.validate(), try_run(&mut *wl, &cfg))
@@ -538,7 +619,19 @@ proptest! {
                 msg.contains("but the machine has"),
                 "{case}: {msg}"
             ),
-            (Ok(_), Ok(report)) => assert_no_invariant_violations(&report, &case),
+            (Ok(_), Ok(report)) => {
+                assert_no_invariant_violations(&report, &case);
+                if report.diagnostics.iter().all(|d| d.kind != "event-budget") {
+                    let reference = try_run(&mut *mk(), &cfg.clone().with_reference_engine(true));
+                    let reference = reference.unwrap_or_else(|e| panic!("{case}: reference: {e}"));
+                    prop_assert_eq!(
+                        report.to_json(),
+                        reference.to_json(),
+                        "{}: optimized engine diverged from reference",
+                        case
+                    );
+                }
+            }
             (verdict, run) => panic!(
                 "{case}: validate() gave {verdict:?} but try_run gave {:?}",
                 run.map(|r| r.makespan_ns)

@@ -1,10 +1,10 @@
 //! Golden determinism test for the engine hot-path overhaul.
 //!
-//! The optimized engine (slab-cancellation event queue with cadence lanes
-//! and timer slots, tickless idle, cached runqueue picks, resched
-//! coalescing) must produce **bit-identical metrics** to the reference
-//! engine (classic heap+HashSet queue, uncached scans, no coalescing) on
-//! every workload class the tier-1 suite covers. Reports are compared
+//! The optimized engine (slab-cancellation event queue with a front slot,
+//! cadence lanes and timer slots, tickless idle, held-back reschedules)
+//! must produce **bit-identical metrics** to the reference engine
+//! (classic heap+HashSet queue, full balancer scans, every tick and
+//! reschedule queued) on every workload class the tier-1 suite covers. Reports are compared
 //! through their canonical JSON serialization, which is integer-exact, so
 //! equality here means every counter, histogram bucket, and timing field
 //! matches to the last bit. Each golden also pins both engines' event
@@ -70,7 +70,7 @@ fn assert_golden(
         expected,
         "{label}: report bytes moved from the pinned fingerprint"
     );
-    // Coalescing may only ever *remove* events, never add.
+    // The optimized engine may only ever *remove* events, never add.
     assert!(
         optimized.1 <= reference.1,
         "{label}: optimized engine processed more events ({} > {})",
@@ -97,7 +97,7 @@ fn memcached_reports_are_bit_identical() {
         &cfg,
         "memcached/16T/8c",
         (26828, 0xddc0_b4d7_5344_1288),
-        (37_374, 51_498),
+        (28_107, 51_498),
     );
 }
 
@@ -108,19 +108,19 @@ fn pipeline_reports_are_bit_identical_across_mechanisms() {
             Mechanisms::vanilla(),
             "vanilla",
             (2231, 0xb6ff_c288_ee99_d39d),
-            (1_468, 1_481),
+            (1_465, 1_481),
         ),
         (
             Mechanisms::bwd_only(),
             "bwd",
             (2395, 0x3535_829f_c476_f52b),
-            (2_685, 3_724),
+            (2_682, 3_724),
         ),
         (
             Mechanisms::optimized(),
             "optimized",
             (2530, 0x9bb9_7871_6f4c_1aae),
-            (2_685, 3_724),
+            (2_682, 3_724),
         ),
     ] {
         let cfg = RunConfig::vanilla(4)
@@ -143,12 +143,12 @@ fn skeleton_benchmarks_are_bit_identical() {
         (
             "fluidanimate",
             (1158, 0x227e_171a_f0b2_6d67),
-            (7_005, 10_059),
+            (6_981, 10_059),
         ),
         (
             "streamcluster",
             (1169, 0xf931_9280_599a_d002),
-            (6_433, 10_053),
+            (5_927, 10_053),
         ),
     ] {
         let profile = BenchProfile::by_name(bench).expect("known benchmark");
@@ -184,7 +184,7 @@ fn idle_heavy_machine_is_bit_identical() {
         &cfg,
         "skeleton/8T/64c",
         (1159, 0x12f8_a4ed_5866_dab7),
-        (17_769, 95_872),
+        (15_543, 95_872),
     );
 }
 
@@ -205,7 +205,7 @@ fn tick_dominated_512c_machine_is_bit_identical() {
         &cfg,
         "skeleton/8T/512c",
         (1172, 0xab20_a0bc_08a2_59eb),
-        (54_560, 1_588_289),
+        (49_667, 1_588_289),
     );
 }
 
@@ -232,7 +232,7 @@ fn web_serving_with_elasticity_is_bit_identical() {
         &cfg,
         "web/24T/8c",
         (10414, 0x7360_2654_cae2_de2a),
-        (14_150, 21_532),
+        (11_555, 21_532),
     );
 }
 
@@ -296,7 +296,7 @@ fn custom_mechanism_runs_are_bit_identical() {
         &cfg,
         "pipeline/custom-throttle",
         (2220, 0xadc6_a1a8_33ff_8154),
-        (1_056, 1_433),
+        (1_053, 1_433),
     );
     // And it must actually have fired, or the test proves nothing.
     let mut wl = SpinPipeline::new(12, 24, WaitFlavor::Flags);
@@ -325,7 +325,7 @@ fn vm_ple_runs_are_bit_identical() {
         &cfg,
         "pipeline/ple-vm",
         (2374, 0xacee_c454_8ef9_c73d),
-        (363, 382),
+        (360, 382),
     );
 }
 
@@ -374,9 +374,9 @@ fn salted_reports_are_pinned() {
                 Box::new(Skeleton::scaled(p, 24, 0.15).with_salt(13))
             },
             [
-                (1182, 0x3331_3646_279d_af64, 39_564),
-                (1182, 0x2245_05fd_b18a_f5fd, 39_593),
-                (1182, 0xe64e_d7da_3358_78cf, 39_557),
+                (1182, 0xae0a_bccb_be91_ebda, 39_634),
+                (1182, 0x2811_79f0_e8d1_b020, 39_604),
+                (1182, 0xa752_7178_fe04_156b, 39_628),
             ],
         ),
     ];

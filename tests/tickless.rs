@@ -11,8 +11,13 @@
 //!   whether the tick at that instant counts. Each searches for its
 //!   timing first and asserts it was hit, so it cannot pass vacuously.
 //! - The differential sweep covers workload families that keep waking
-//!   idle cores, plus PAUSE-loop spinners in a VM, whose PLE spin exits
-//!   live in re-armable timer slots (DESIGN.md §14.6).
+//!   idle cores, PAUSE-loop spinners in a VM, whose PLE spin exits live
+//!   in re-armable timer slots (DESIGN.md §14.6), and cells for each
+//!   part of the held-back reschedule test and each of its triggers
+//!   (DESIGN.md §8): skip releases left on regrown cores, VB waiters
+//!   across an elastic shrink and grow, and all-pinned machines. A
+//!   constructed case pins the event counts of a held-back reschedule
+//!   whose CPU goes offline before it is due.
 //!   `differential_sweep_heavy` is the long version
 //!   (`cargo test --release --test tickless -- --ignored`, about a minute).
 
@@ -261,6 +266,173 @@ fn max_time_stop_on_a_dormant_cadence_point_matches_reference() {
     assert_eq!(report.makespan_ns, cap);
 }
 
+/// Task 1 (CPU 1) computes, then blocks on a semaphore through a long
+/// kernel entry; task 0 (CPU 0) computes and then posts it. Both pinned.
+struct OfflineInsideBlock;
+
+impl Workload for OfflineInsideBlock {
+    fn name(&self) -> &str {
+        "offline-inside-block"
+    }
+
+    fn build(&mut self, w: &mut WorldBuilder) {
+        let sem = w.semaphore(0);
+        let poster = vec![
+            Action::Compute { ns: 600_000 },
+            Action::Sync(SyncOp::SemPost(sem)),
+        ];
+        let waiter = vec![
+            Action::Compute { ns: 100_000 },
+            Action::Sync(SyncOp::SemWait(sem)),
+            Action::Compute { ns: 10_000 },
+        ];
+        w.spawn(ThreadSpec::new(Box::new(ScriptProgram::once(poster))).pinned_to(CpuId(0)));
+        w.spawn(ThreadSpec::new(Box::new(ScriptProgram::once(waiter))).pinned_to(CpuId(1)));
+    }
+}
+
+/// A held-back reschedule whose CPU goes offline before it is due: task
+/// 1's block requests a reschedule of CPU 1 at the end of a 200 µs
+/// kernel entry, with nothing to run or pull, so it is held back. CPU 1
+/// goes offline inside that entry and comes back before the post. The
+/// online-set change must queue the reschedule under its drawn key, as
+/// the reference engine pops it there. The pinned event counts catch a
+/// reschedule kept back instead (DESIGN.md §8).
+#[test]
+fn reschedule_held_back_on_a_cpu_going_offline_is_queued() {
+    let mut cfg = RunConfig::vanilla(2)
+        .with_machine(MachineSpec::PaperN(2))
+        .with_seed(3);
+    cfg.sched.syscall_entry_ns = 200_000;
+    cfg.elastic = vec![
+        ElasticEvent {
+            at: SimTime::from_micros(200),
+            cores: 1,
+        },
+        ElasticEvent {
+            at: SimTime::from_micros(400),
+            cores: 2,
+        },
+    ];
+    let (_, opt, reference) = assert_same(
+        || Box::new(OfflineInsideBlock),
+        &cfg,
+        "offline-inside-block",
+    );
+    assert_eq!((opt, reference), (11, 13));
+}
+
+/// Task 0 (on CPU 0) computes `a_ns`, then posts a semaphore; task 1
+/// (on CPU 1) computes `b_ns`, then waits on it through a long kernel
+/// entry and computes a little more. Neither is pinned.
+#[derive(Clone, Copy, Debug)]
+struct PostWait {
+    a_ns: u64,
+    b_ns: u64,
+}
+
+impl Workload for PostWait {
+    fn name(&self) -> &str {
+        "post-wait"
+    }
+
+    fn build(&mut self, w: &mut WorldBuilder) {
+        let sem = w.semaphore(0);
+        let poster = vec![
+            Action::Compute { ns: self.a_ns },
+            Action::Sync(SyncOp::SemPost(sem)),
+        ];
+        let waiter = vec![
+            Action::Compute { ns: self.b_ns },
+            Action::Sync(SyncOp::SemWait(sem)),
+            Action::Compute { ns: 10_000 },
+        ];
+        w.spawn(ThreadSpec::new(Box::new(ScriptProgram::once(poster))));
+        w.spawn(ThreadSpec::new(Box::new(ScriptProgram::once(waiter))));
+    }
+}
+
+/// The wait's kernel entry: 350 µs, long enough for CPU 1's tick to lapse
+/// while the reschedule it requests is pending.
+const LONG_ENTRY_NS: u64 = 350_000;
+
+fn post_wait_cfg() -> RunConfig {
+    let mut cfg = duo_cfg();
+    cfg.sched.syscall_entry_ns = LONG_ENTRY_NS;
+    cfg
+}
+
+/// `(task 1's block, its second start on CPU 1)` in a traced optimized
+/// run.
+fn post_wait_timeline(pw: PostWait) -> (u64, Option<u64>) {
+    let (_, trace) = run_traced(&mut pw.clone(), &post_wait_cfg().traced());
+    let on_cpu1 = |kind: TraceKind| {
+        trace
+            .events()
+            .filter(move |e| e.task.0 == 1 && e.kind == kind && e.cpu == 1)
+            .map(|e| e.at.as_nanos())
+    };
+    let block = on_cpu1(TraceKind::Sleep)
+        .next()
+        .expect("task 1 never blocked");
+    let start = on_cpu1(TraceKind::Run).nth(1);
+    (block, start)
+}
+
+/// A held-back reschedule is queued under the key it drew when it was
+/// requested, not a fresh one. Task 1 blocks on CPU 1 and requests its
+/// reschedule at `T`, the end of the wait's kernel entry and exactly a
+/// cadence point of CPU 1, whose tick has lapsed by then. Nothing can
+/// run there, so the reschedule is held back. Task 0's post, 5 µs before
+/// `T`, wakes task 1 onto CPU 1; that queues the held-back reschedule,
+/// which starts task 1 at `T`. Keyed as drawn at the block, it pops
+/// before the tick at `T`, as in the ticking engine; keyed at the post,
+/// it would settle that tick as an idle one first.
+#[test]
+fn held_back_reschedule_keeps_its_drawn_key() {
+    let target = 1_007_919;
+    assert!(is_cadence_point(1, target));
+    // The wait's kernel entry: the entry cost plus an uncontended futex
+    // bucket lock (transfer and hold).
+    let entry = LONG_ENTRY_NS + 25 + 150;
+    let shape = |a_ns, b_ns| PostWait { a_ns, b_ns };
+    let b_ns = solve(target - entry, 600_000, |b_ns| {
+        post_wait_timeline(shape(2_000_000, b_ns)).0
+    });
+    let a_ns = target - 5_000;
+    assert_eq!(
+        post_wait_timeline(shape(a_ns, b_ns)).1,
+        Some(target),
+        "the held-back reschedule did not start task 1"
+    );
+    for a_ns in a_ns - 1..=a_ns + 1 {
+        let pw = shape(a_ns, b_ns);
+        let (_, opt_events, ref_events) =
+            assert_same(|| Box::new(pw), &post_wait_cfg(), "post-wait/held-back-key");
+        assert!(opt_events < ref_events, "no reschedule was held back");
+    }
+}
+
+/// `SpinlockStress` ticket spinners plus one extra thread, pinned to the
+/// last CPU, that blocks at start on a semaphore nobody posts.
+struct SpinnersAndParkedWaiter {
+    spinners: SpinlockStress,
+    cpu: usize,
+}
+
+impl Workload for SpinnersAndParkedWaiter {
+    fn name(&self) -> &str {
+        "spinners+parked-waiter"
+    }
+
+    fn build(&mut self, w: &mut WorldBuilder) {
+        self.spinners.build(w);
+        let sem = w.semaphore(0);
+        let wait = vec![Action::Sync(SyncOp::SemWait(sem))];
+        w.spawn(ThreadSpec::new(Box::new(ScriptProgram::once(wait))).pinned_to(CpuId(self.cpu)));
+    }
+}
+
 // ---------------------------------------------------------------------
 // Differential sweep
 // ---------------------------------------------------------------------
@@ -365,6 +537,118 @@ fn differential_sweep(s: &Scale) {
                     },
                     &cfg,
                     &format!("{}/{threads}T/{cpus}c/seed{seed}", prim.label()),
+                );
+            }
+        }
+        // Held-back reschedules (DESIGN.md §8): a cell for each part of
+        // the hold-back test and each trigger that re-checks it. BWD
+        // spinners under an elastic shrink then grow: the shrink moves
+        // skip-flagged spinners off cores whose skip releases stay
+        // behind, so the regrown idle cores may not be held back.
+        let k = s.spin_iters as u64;
+        let elastic = |shrink_at: u64, grow_at: u64| {
+            vec![
+                ElasticEvent {
+                    at: SimTime::from_nanos(shrink_at),
+                    cores: 3,
+                },
+                ElasticEvent {
+                    at: SimTime::from_nanos(grow_at),
+                    cores: 8,
+                },
+            ]
+        };
+        let mut cfg = RunConfig::vanilla(8)
+            .with_machine(MachineSpec::PaperN(8))
+            .with_mech(Mechanisms::optimized())
+            .with_seed(seed);
+        cfg.elastic = elastic(k * 100_000, k * 200_000);
+        let label = format!("spin/ticket/16T/8c/elastic/seed{seed}");
+        let (report, _, _) = assert_same(
+            || {
+                Box::new(SpinlockStress::fig13(
+                    16,
+                    SpinPolicy::ticket(),
+                    s.spin_iters,
+                ))
+            },
+            &cfg,
+            &label,
+        );
+        assert!(
+            report.makespan_ns > k * 200_000,
+            "{label}: ended before the grow"
+        );
+        let cleared = report.mech("bwd").map_or(0, |m| m.skips_cleared);
+        assert!(cleared > 0, "{label}: no skip flag was released");
+        // The same spinners beside a waiter VB-parked on the last core,
+        // pinned there, so that core keeps its parked task while offline
+        // and comes back idle with only it and the skip releases the
+        // moved spinners left: its reschedule may not be held back
+        // (auto-disable off, so a lone waiter parks).
+        let vb_bwd = Mechanisms {
+            vb_auto_disable: false,
+            ..Mechanisms::optimized()
+        };
+        let mut cfg = RunConfig::vanilla(8)
+            .with_machine(MachineSpec::PaperN(8))
+            .with_mech(vb_bwd)
+            .with_seed(seed)
+            .with_max_time(SimTime::from_nanos(k * 600_000));
+        cfg.elastic = elastic(k * 100_000, k * 200_000);
+        let label = format!("spin+parked/ticket/16T/8c/elastic/seed{seed}");
+        let (report, _, _) = assert_same(
+            || {
+                Box::new(SpinnersAndParkedWaiter {
+                    spinners: SpinlockStress::fig13(16, SpinPolicy::ticket(), s.spin_iters),
+                    cpu: 7,
+                })
+            },
+            &cfg,
+            &label,
+        );
+        let parks = report.mech("vb").map_or(0, |m| m.parks);
+        assert!(parks > 0, "{label}: the waiter never parked");
+        // A VB workload shrunk and regrown while waiters are queued on
+        // other cores: parked tasks move, and idle cores see waiters.
+        let r = s.primitive_rounds as u64;
+        for prim in [Primitive::Mutex, Primitive::Cond] {
+            let mut cfg = RunConfig::vanilla(8)
+                .with_machine(MachineSpec::PaperN(8))
+                .with_mech(Mechanisms::optimized())
+                .with_seed(seed);
+            cfg.elastic = elastic(r * 5_000, r * 10_000);
+            let label = format!("{}/16T/8c/elastic/seed{seed}", prim.label());
+            let (report, _, _) = assert_same(
+                || Box::new(PrimitiveStress::new(16, s.primitive_rounds, prim, 2_000)),
+                &cfg,
+                &label,
+            );
+            assert!(
+                report.makespan_ns > r * 10_000,
+                "{label}: ended before the grow"
+            );
+        }
+        // An all-pinned machine: no task can be pulled anywhere, so
+        // every idle core's reschedule is held back whatever the waiters.
+        for (threads, cpus) in [(12, 8), (8, 16)] {
+            for prim in [Primitive::Mutex, Primitive::Barrier] {
+                let mut cfg = RunConfig::vanilla(cpus)
+                    .with_machine(MachineSpec::PaperN(cpus))
+                    .with_mech(Mechanisms::optimized())
+                    .with_seed(seed);
+                cfg.pinned = true;
+                assert_same(
+                    || {
+                        Box::new(PrimitiveStress::new(
+                            threads,
+                            s.primitive_rounds,
+                            prim,
+                            2_000,
+                        ))
+                    },
+                    &cfg,
+                    &format!("{}/{threads}T/{cpus}c/pinned/seed{seed}", prim.label()),
                 );
             }
         }
