@@ -10,10 +10,10 @@
 //! | rule | what it flags | where |
 //! |------|---------------|-------|
 //! | D1 | `HashMap` / `HashSet` (iteration order can reach sim state) | sim crates |
-//! | D2 | wall-clock / ambient entropy (`Instant::now`, `SystemTime`, `thread_rng`, …) | everywhere except `bench` / `criterion` |
+//! | D2 | wall-clock / ambient entropy (`Instant::now`, `SystemTime`, `thread_rng`, …) | everywhere except `bench` |
 //! | D3 | `unwrap` / `expect` / `panic!` / `unreachable!` on engine hot paths | `oversub/src/engine/*`, `oversub/src/exec.rs`, `oversub/src/mechanism/*`, `task/src/state.rs`, `task/src/table.rs`, `sched/src/rq.rs`, `metrics/src/digest.rs` |
 //! | D4 | mutable / public statics and `thread_local!` (state escaping seeding) | everywhere |
-//! | D5 | ad-hoc host threads (`thread::spawn` / `thread::scope` / `thread::Builder`) | everywhere except `simcore/src/pool.rs` and `bench` / `criterion` |
+//! | D5 | ad-hoc host threads (`thread::spawn` / `thread::scope` / `thread::Builder`) | everywhere except `simcore/src/pool.rs` and `bench` |
 //! | D6 | `SimRng::new` outside the engine root (RNG provenance: one seeded root per run, streams derived by `fork`) | sim crates except `simcore` |
 //! | D7 | `min_by` / `max_by` / `min_by_key` / `max_by_key` (first-wins tie-break makes the pick iteration-order-dependent) | sim crates |
 //!
@@ -52,7 +52,7 @@ const SIM_CRATES: &[&str] = &[
 
 /// Crates allowed to read wall clocks (they measure the host, not the
 /// simulation).
-const TIME_EXEMPT_CRATES: &[&str] = &["bench", "criterion"];
+const TIME_EXEMPT_CRATES: &[&str] = &["bench"];
 
 /// The only library files allowed to create host threads (D5): the
 /// deterministic worker pool every parallel code path must go through.
@@ -83,7 +83,7 @@ const RULES: &[Rule] = &[
             "getrandom",
             "RandomState",
         ],
-        message: "wall-clock or ambient-entropy source outside bench/criterion; all \
+        message: "wall-clock or ambient-entropy source outside bench; all \
                   simulator randomness must flow from the seeded SimRng",
     },
     Rule {
@@ -663,11 +663,15 @@ mod tests {
     }
 
     #[test]
-    fn d2_exempts_bench_and_criterion() {
+    fn d2_exempts_bench() {
         let src = "let t = std::time::Instant::now();\n";
         assert_eq!(scan_source("sched", "crates/sched/src/x.rs", src).len(), 1);
         assert!(scan_source("bench", "crates/bench/src/x.rs", src).is_empty());
-        assert!(scan_source("criterion", "crates/criterion/src/x.rs", src).is_empty());
+        // The deleted `criterion` shim's exemption is gone with it.
+        assert_eq!(
+            scan_source("criterion", "crates/criterion/src/x.rs", src).len(),
+            1
+        );
     }
 
     #[test]
@@ -725,10 +729,13 @@ mod tests {
             scan_source("metrics", "crates/metrics/src/x.rs", src).len(),
             1
         );
-        // …but not in the pool itself or the host-measuring crates.
+        // …but not in the pool itself or the host-measuring crate.
         assert!(scan_source("simcore", "crates/simcore/src/pool.rs", src).is_empty());
         assert!(scan_source("bench", "crates/bench/src/bin/x.rs", src).is_empty());
-        assert!(scan_source("criterion", "crates/criterion/src/x.rs", src).is_empty());
+        assert_eq!(
+            scan_source("criterion", "crates/criterion/src/x.rs", src).len(),
+            1
+        );
         // Scoped spawns and named builders are the same hazard.
         assert_eq!(
             scan_source(

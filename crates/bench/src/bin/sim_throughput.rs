@@ -1,9 +1,8 @@
 //! Simulator throughput benchmark: events/sec and wall-clock of the
-//! optimized engine (slab-cancellation queue with a front slot, cadence
-//! lanes and re-armable timer slots, held-back reschedules, idle-quiet
-//! timer dispatch, tickless idle) versus the reference engine (classic
-//! heap+HashSet queue, full balancer scans, every tick and reschedule
-//! queued) on representative workloads. Both
+//! optimized engine (a heap with a front slot, cadence lanes and
+//! re-armable timer slots, held-back reschedules, tickless idle) versus
+//! the reference engine (one plain heap, full balancer scans, every tick
+//! and reschedule queued) on representative workloads. Both
 //! engines produce bit-identical *report metrics* — see
 //! `tests/determinism.rs`; this binary re-asserts the per-mechanism
 //! counters match on every arm — so this measures pure host-side speed.

@@ -13,6 +13,11 @@ use oversub_workloads::admission::{AdmissionPolicy, OverloadParams};
 /// [`RunConfig::validate`].
 const MAX_SCHED_OP_NS: u64 = oversub_simcore::SECS;
 
+/// Cap on the BWD monitoring interval and the balance interval (1 s),
+/// enforced by [`RunConfig::validate`]. The largest in-tree values are
+/// 800 µs (the BWD interval ablation) and 10 ms (the balance default).
+const MAX_INTERVAL_NS: u64 = oversub_simcore::SECS;
+
 /// Which machine the container sees.
 #[derive(Clone, Debug)]
 pub enum MachineSpec {
@@ -173,10 +178,12 @@ pub struct RunConfig {
     /// Record a scheduling-event trace (see [`crate::trace::TraceLog`]).
     pub trace: bool,
     /// Use the pre-overhaul reference engine internals (classic event
-    /// queue, full balancer scans, every reschedule queued). Metrics are
-    /// bit-identical either way — this knob exists for the golden
-    /// determinism test and before/after throughput comparisons. Can also
-    /// be forced with the `OVERSUB_REFERENCE_ENGINE` environment variable.
+    /// queue, full balancer scans, every tick and reschedule queued).
+    /// Metrics are bit-identical either way — this knob exists for the
+    /// golden determinism test and before/after throughput comparisons.
+    /// Can also be forced with the `OVERSUB_REFERENCE_ENGINE` environment
+    /// variable, and a non-zero [`schedule_salt`](Self::schedule_salt)
+    /// implies it.
     pub reference_engine: bool,
     /// Out-of-tree mechanisms, appended to the pipeline after the in-tree
     /// ones selected by [`Mechanisms`]. See [`RunConfig::with_mechanism`].
@@ -217,11 +224,9 @@ pub struct RunConfig {
     /// production order. Non-zero values permute equal-time pops through
     /// a bijective mix of the insertion sequence number, which is how the
     /// schedule-robustness certifier perturbs schedules. Only the classic
-    /// event queue implements the permutation, so salted runs use it:
-    /// no cadence lanes, no timer slots (superseded timers pop and fail
-    /// their epoch check), no held-back reschedules and no tickless idle,
-    /// whose tie rule needs the fast queue's scheduled-at keys. The rest
-    /// of the optimized engine stays on.
+    /// event queue implements the permutation, so a salted run is a
+    /// reference run (see [`reference_engine`](Self::reference_engine))
+    /// with a salt.
     pub schedule_salt: u64,
 }
 
@@ -441,6 +446,22 @@ impl RunConfig {
         if self.sched.balance_interval_ns == 0 {
             return Err("sched.balance_interval_ns = 0 (balance ticks would never advance)".into());
         }
+        let bwd_interval = self.mech.bwd.then(|| self.bwd().interval_ns);
+        for (name, ns) in [
+            ("bwd_params.interval_ns", bwd_interval),
+            (
+                "sched.balance_interval_ns",
+                Some(self.sched.balance_interval_ns),
+            ),
+        ] {
+            if let Some(ns) = ns.filter(|&ns| ns > MAX_INTERVAL_NS) {
+                return Err(format!(
+                    "{name} = {ns} ns exceeds the {MAX_INTERVAL_NS} ns (1 s) cap on a \
+                     periodic timer's interval: the engine staggers each first tick \
+                     at interval + phase, which overflows near u64::MAX"
+                ));
+            }
+        }
         if self.sched.min_granularity_ns == 0 {
             // The slice is max(target_latency / nr_running, min_granularity),
             // so a zero floor lets a busy CPU's slice round down to zero and
@@ -471,6 +492,23 @@ impl RunConfig {
                      (a stint's vruntime charge is its length times 1024)"
                 ));
             }
+        }
+        let c = &self.cache;
+        for (name, bytes) in [
+            ("cache.line_bytes", c.line_bytes),
+            ("cache.page_bytes", c.page_bytes),
+            ("cache.elem_bytes", c.elem_bytes),
+        ] {
+            if bytes == 0 {
+                return Err(format!("{name} = 0 (the memory model divides by it)"));
+            }
+        }
+        if !(c.refill_bytes_per_ns.is_finite() && c.refill_bytes_per_ns > 0.0) {
+            return Err(format!(
+                "cache.refill_bytes_per_ns = {} must be finite and positive (the \
+                 memory model prices a cache refill as bytes / bandwidth)",
+                c.refill_bytes_per_ns
+            ));
         }
         if self.mech.ple && self.ple().window_ns == 0 {
             return Err("PLE is enabled with window_ns = 0 (exit storm on every spin)".into());
@@ -664,6 +702,52 @@ mod tests {
         cfg.sched.balance_interval_ns = 0;
         assert!(cfg.validate().unwrap_err().contains("balance_interval_ns"));
 
+        // The BWD and balance intervals are capped at 1 s.
+        type Interval = fn(&mut RunConfig) -> &mut u64;
+        let intervals: [(&str, Interval); 2] = [
+            ("bwd_params.interval_ns", |c| &mut c.bwd_params.interval_ns),
+            ("sched.balance_interval_ns", |c| {
+                &mut c.sched.balance_interval_ns
+            }),
+        ];
+        for (name, field) in intervals {
+            let mut cfg = RunConfig::optimized(4);
+            *field(&mut cfg) = MAX_INTERVAL_NS;
+            assert!(cfg.validate().is_ok(), "{name} at the cap");
+            for ns in [MAX_INTERVAL_NS + 1, u64::MAX] {
+                *field(&mut cfg) = ns;
+                let err = cfg.validate().unwrap_err();
+                assert!(err.contains(name) && err.contains("cap"), "{err}");
+            }
+        }
+        // BWD's interval only matters when BWD runs.
+        let mut cfg = RunConfig::vanilla(4);
+        cfg.bwd_params.interval_ns = u64::MAX;
+        assert!(cfg.validate().is_ok());
+
+        // The memory model divides by its sizes and its refill bandwidth.
+        type Size = fn(&mut CacheParams) -> &mut u64;
+        let sizes: [(&str, Size); 3] = [
+            ("cache.line_bytes", |c| &mut c.line_bytes),
+            ("cache.page_bytes", |c| &mut c.page_bytes),
+            ("cache.elem_bytes", |c| &mut c.elem_bytes),
+        ];
+        for (name, field) in sizes {
+            let mut cfg = RunConfig::vanilla(4);
+            *field(&mut cfg.cache) = 0;
+            assert!(cfg.validate().unwrap_err().contains(name), "{name}");
+        }
+        for bw in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut cfg = RunConfig::vanilla(4);
+            cfg.cache.refill_bytes_per_ns = bw;
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains("refill_bytes_per_ns"), "{err}");
+        }
+        // The huge-page ablation's 2 MiB pages are fine.
+        let mut cfg = RunConfig::optimized(4);
+        cfg.cache.page_bytes = 2 << 20;
+        assert!(cfg.validate().is_ok());
+
         let mut cfg = RunConfig::vanilla(4);
         cfg.sched.min_granularity_ns = 0;
         assert!(cfg.validate().unwrap_err().contains("min_granularity_ns"));
@@ -753,6 +837,23 @@ mod tests {
 
         let cfg = RunConfig::vanilla(4).with_max_events(0);
         assert!(cfg.validate().is_err());
+
+        // Slice delays and timer jitter are capped at 1 s.
+        type Delay = fn(FaultPlan, u64) -> FaultPlan;
+        let delays: [(&str, Delay); 2] = [
+            ("slice_delay_ns", FaultPlan::slice_delays),
+            ("timer_jitter_ns", FaultPlan::timer_jitter),
+        ];
+        for (name, with) in delays {
+            let plan = |ns| with(FaultPlan::default(), ns);
+            let cfg = RunConfig::optimized(4).with_faults(plan(1_000_000_000));
+            assert!(cfg.validate().is_ok(), "{name} at the cap");
+            for ns in [1_000_000_001, u64::MAX] {
+                let cfg = RunConfig::optimized(4).with_faults(plan(ns));
+                let err = cfg.validate().unwrap_err();
+                assert!(err.contains(name) && err.contains("cap"), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -132,7 +132,7 @@ impl Engine {
         }
         let n = (horizon - first - 1) / tl.interval_ns + 1;
         self.sched.cpus[cpu].account_idle_ticks(first, n, tl.interval_ns, tl.charge_ns);
-        self.pending_idle_checks[tl.mech] += n;
+        self.idle_checks += n;
         self.dormant_at[cpu] = first + n * tl.interval_ns;
     }
 

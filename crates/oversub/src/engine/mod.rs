@@ -172,8 +172,8 @@ pub(crate) enum Event {
 /// ([`EventQueue::arm`]): arming one replaces its pending expiry, and
 /// retiring the stint or segment it belongs to disarms it
 /// ([`Engine::retire_stint`], [`Engine::retire_segment`]). Their events
-/// keep their epochs, because the classic queue, which reference and
-/// salted runs use, still pops superseded ones.
+/// keep their epochs, because the classic queue, which reference runs
+/// use, still pops superseded ones.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Timer {
     /// The stint's slice expiry ([`Event::Slice`]).
@@ -216,7 +216,7 @@ pub(crate) struct Epochs {
 /// search over its heap, cadence lanes and timer slots.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseProfile {
-    /// Popping the event queue (drain-cancelled + peek + pop).
+    /// Popping the event queue.
     pub queue_pop_ns: u64,
     /// Resched and wakeup-preemption handlers — the runqueue pick paths.
     pub pick_ns: u64,
@@ -253,8 +253,8 @@ const DEFAULT_CAP: SimTime = SimTime(600 * oversub_simcore::SECS);
 /// The monitoring tick that tickless idle lets lapse on idle cores.
 ///
 /// Armed only where an idle, quiet core's tick is a pure constant: the
-/// fast queue (the optimized engine without a tie-break salt), no
-/// faults, and exactly one mechanism with a timer, whose
+/// fast queue (the optimized engine), no faults, and exactly one
+/// mechanism with a timer, whose
 /// [`Mechanism::idle_quiet_constant`](crate::mechanism::Mechanism::idle_quiet_constant)
 /// is `Some(charge)` with `charge <= interval`. On such a core nothing
 /// the tick reads can change until a task starts there, so every
@@ -306,25 +306,18 @@ pub(crate) struct Engine {
     /// [`Scheduler::idle_work_mark`](oversub_sched::Scheduler::idle_work_mark)
     /// when `held` was last re-checked.
     held_mark: u64,
-    /// Reference mode: classic queue, full balancer scans, every
-    /// reschedule queued.
-    pub reference: bool,
     /// Per-mechanism timer interval, cached at construction so the
     /// periodic-tick hot path re-arms without a dyn dispatch (intervals
     /// are fixed for the life of a run).
     pub timer_intervals: Vec<Option<u64>>,
-    /// Per-mechanism constant idle-quiet charge
-    /// ([`Mechanism::idle_quiet_constant`](crate::mechanism::Mechanism::idle_quiet_constant)),
-    /// cached at construction: `Some(charge)` means an idle-quiet tick of
-    /// that mechanism needs no mechanism call at all.
-    idle_quiet_charge: Vec<Option<u64>>,
-    /// Idle-quiet ticks taken through the constant path, deferred per
-    /// mechanism and flushed into the mechanism's check counter before
-    /// counters are read (the increments commute, so deferral is exact).
-    pending_idle_checks: Vec<u64>,
     /// The tick tickless idle may let lapse; `None` keeps every timer
     /// ticking.
     pub tickless: Option<Tickless>,
+    /// Checks of the lapsed and settled ticks, credited to the tickless
+    /// mechanism's check counter at run end
+    /// ([`Mechanism::note_idle_checks`](crate::mechanism::Mechanism::note_idle_checks)):
+    /// the increments commute, so deferring them is exact.
+    idle_checks: u64,
     /// Per CPU: the fire time of the first tick skipped since its timer
     /// lapsed and not yet settled, or `SimTime::NEVER` while it ticks.
     pub dormant_at: Vec<SimTime>,
@@ -470,11 +463,12 @@ impl Engine {
         }
 
         let end_cap = cfg.max_time.unwrap_or(DEFAULT_CAP);
-        let reference =
-            cfg.reference_engine || std::env::var_os("OVERSUB_REFERENCE_ENGINE").is_some();
-        if reference {
-            sched.set_reference_mode(true);
-        }
+        // Only the classic queue permutes ties, so a salted run is a
+        // reference run with a salt.
+        let reference = cfg.reference_engine
+            || cfg.schedule_salt != 0
+            || std::env::var_os("OVERSUB_REFERENCE_ENGINE").is_some();
+        sched.set_reference_mode(reference);
         // Chaos-layer state: an injector only when the plan enables a
         // fault, park-ageing vectors only when the watchdog is armed, so
         // clean runs are bit-identical to builds without the fault layer.
@@ -494,12 +488,8 @@ impl Engine {
                 *c = VClock::zeroed(n);
             }
         }
-        // Certifier runs permute equal-time same-burst ties, which only
-        // the classic queue implements.
-        let mut queue = if cfg.schedule_salt != 0 {
+        let mut queue = if reference {
             EventQueue::classic_salted(cfg.schedule_salt)
-        } else if reference {
-            EventQueue::classic()
         } else {
             EventQueue::new()
         };
@@ -509,23 +499,19 @@ impl Engine {
         let timer_intervals: Vec<Option<u64>> = (0..mechs.len())
             .map(|i| mechs.timer_interval_ns(i))
             .collect();
-        let idle_quiet_charge: Vec<Option<u64>> = (0..mechs.len())
-            .map(|i| mechs.idle_quiet_constant(i))
-            .collect();
-        let pending_idle_checks = vec![0u64; mechs.len()];
         let pull_mask = (0..n)
             .filter(|&i| tasks.pinned[i].is_none())
             .fold(0, |m, i| m | tasks.allowed[i]);
         // Tickless idle's tie rule needs the fast queue's scheduled-at keys.
         let tickless = match mechs.timers().as_slice() {
-            &[(mech, interval_ns)] if !queue.is_classic() && faults.is_none() => {
-                let charge = idle_quiet_charge[mech].filter(|&ns| ns <= interval_ns);
-                charge.map(|charge_ns| Tickless {
+            &[(mech, interval_ns)] if !queue.is_classic() && faults.is_none() => mechs
+                .idle_quiet_constant(mech)
+                .filter(|&ns| ns <= interval_ns)
+                .map(|charge_ns| Tickless {
                     mech,
                     interval_ns,
                     charge_ns,
-                })
-            }
+                }),
             _ => None,
         };
         let mut eng = Engine {
@@ -542,11 +528,9 @@ impl Engine {
             held: Vec::new(),
             pull_mask,
             held_mark: 0,
-            reference,
             timer_intervals,
-            idle_quiet_charge,
-            pending_idle_checks,
             tickless,
+            idle_checks: 0,
             dormant_at: vec![SimTime::NEVER; ncpu],
             trace_progress: std::env::var_os("OVERSUB_TRACE").is_some(),
             check_rqs: std::env::var_os("OVERSUB_CHECK").is_some(),
@@ -719,6 +703,9 @@ impl Engine {
                 self.settle_idle_ticks_before(cpu, horizon);
                 self.dormant_at[cpu] = SimTime::NEVER;
             }
+            self.mechs
+                .get_mut(tl.mech)
+                .note_idle_checks(self.idle_checks);
         }
         let makespan = if self.live == 0 {
             self.last_exit
@@ -728,8 +715,6 @@ impl Engine {
             }
             self.now
         };
-        let mut pending = std::mem::take(&mut self.pending_idle_checks);
-        self.mechs.flush_idle_checks(&mut pending);
         let trace = std::mem::take(&mut self.trace);
         let events = self.events_processed;
         let report = self.build_report(workload, label, makespan);
@@ -740,8 +725,8 @@ impl Engine {
     /// Request an `Event::Resched(cpu)` at `at`.
     ///
     /// On the fast queue, a reschedule that provably starts nothing is
-    /// held back instead of queued (reference and salted runs, on the
-    /// classic queue, queue every one): it draws its key now
+    /// held back instead of queued (reference runs, on the classic
+    /// queue, queue every one): it draws its key now
     /// ([`EventQueue::reserve`]) and waits in `held`. It is held back
     /// while [`resched_is_dead`](Self::resched_is_dead) holds: `cpu` is
     /// online and idle, its runqueue has no schedulable task and no

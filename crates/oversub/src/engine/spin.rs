@@ -19,27 +19,19 @@ impl Engine {
         let Some(interval_ns) = self.timer_intervals[idx] else {
             return;
         };
-        // Idle-quiet: on an oversized machine most ticks land on online
-        // cores with nothing running and an untouched monitoring window,
-        // where the full dispatch below reduces to "record one empty
-        // check, charge the check cost". Mechanisms opt into handling
-        // that case without a `TimerCtx`
-        // (`MechanismSet::dispatch_timer_batch`), so full dispatches
-        // scale with the scheduler's active-core bitset, not with
-        // machine size. Residual windows (a descheduled task's traces),
-        // armed faults, and the reference engine all take the full path.
-        let idle_quiet = !self.reference
-            && self.faults.is_none()
-            && self.sched.online[cpu]
-            && !self.sched.is_active(CpuId(cpu))
-            && self.sched.cpus[cpu].hw.window_untouched();
-        // Tickless idle: until a task starts here, every later tick would
-        // take this same constant path. So the timer lapses instead of
-        // re-arming, and the skipped ticks are settled when the CPU is
-        // next touched.
+        // Tickless idle: a tick on an online core with nothing running and
+        // an untouched monitoring window costs the mechanism's constant
+        // charge and one check, and until a task starts here every later
+        // tick would too. So the timer lapses instead of re-arming, and
+        // the skipped ticks are settled when the CPU is next touched. A
+        // residual window (a descheduled task's traces) takes the full
+        // path below.
         if let Some(tl) = self.tickless {
-            if idle_quiet {
-                self.pending_idle_checks[idx] += 1;
+            if self.sched.online[cpu]
+                && !self.sched.is_active(CpuId(cpu))
+                && self.sched.cpus[cpu].hw.window_untouched()
+            {
+                self.idle_checks += 1;
                 self.sched.cpus[cpu].account_idle_ticks(self.now, 1, interval_ns, tl.charge_ns);
                 self.dormant_at[cpu] = self.now + interval_ns;
                 return;
@@ -66,19 +58,6 @@ impl Engine {
         }
         if !self.sched.online[cpu] {
             return;
-        }
-        if idle_quiet {
-            // Constant sub-case: the tick is a fixed charge plus one
-            // deferred check — no mechanism call at all.
-            if let Some(charge) = self.idle_quiet_charge[idx] {
-                self.pending_idle_checks[idx] += 1;
-                self.sched.cpus[cpu].account_idle_ticks(self.now, 1, interval_ns, charge);
-                return;
-            }
-            if let Some(charge) = self.mechs.dispatch_timer_batch(idx, cpu) {
-                self.sched.cpus[cpu].account_idle_ticks(self.now, 1, interval_ns, charge);
-                return;
-            }
         }
         self.account_progress(cpu, self.now);
         let had_current = self.sched.cpus[cpu].current;

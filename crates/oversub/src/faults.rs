@@ -27,6 +27,10 @@ use std::fmt;
 /// a large constant keeps the injector's draws off every task stream).
 const FAULT_STREAM: u64 = 0xFAB1_7000_0000_0001;
 
+/// Cap on [`FaultPlan::slice_delay_ns`] and [`FaultPlan::timer_jitter_ns`]
+/// (1 s), enforced by [`FaultPlan::validate`].
+const MAX_FAULT_DELAY_NS: u64 = oversub_simcore::SECS;
+
 /// An elastic-revocation storm: at each fault tick, with probability
 /// `prob`, yank the online core count to a uniformly drawn value in
 /// `[min_cores, ncpu]`.
@@ -143,7 +147,8 @@ impl FaultPlan {
     }
 
     /// Validate the plan: every probability must be a finite value in
-    /// `[0, 1]` and the tick interval non-zero when the tick is needed.
+    /// `[0, 1]`, the slice delay and timer jitter at most 1 s, and the
+    /// tick interval non-zero when the tick is needed.
     pub fn validate(&self) -> Result<(), String> {
         let probs = [
             ("fault lost_wakeup_prob", self.lost_wakeup_prob),
@@ -158,6 +163,18 @@ impl FaultPlan {
         for (name, p) in probs {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("{name} must be in [0, 1], got {p}"));
+            }
+        }
+        for (name, ns) in [
+            ("fault slice_delay_ns", self.slice_delay_ns),
+            ("fault timer_jitter_ns", self.timer_jitter_ns),
+        ] {
+            if ns > MAX_FAULT_DELAY_NS {
+                return Err(format!(
+                    "{name} = {ns} ns exceeds the {MAX_FAULT_DELAY_NS} ns (1 s) cap: \
+                     no kernel timer slips that far, and the injector's draw below \
+                     max + 1 overflows at u64::MAX"
+                ));
             }
         }
         if self.needs_tick() && self.tick_interval_ns == 0 {

@@ -160,33 +160,12 @@ impl Mechanism for BwdMechanism {
         }
     }
 
-    /// Idle-quiet tick: mirrors [`BwdMechanism::on_timer`] with
-    /// `has_current = false`, `sensor_flip = false`, and an untouched
-    /// window. An untouched window's LBR ring is not full, so the raw
-    /// classification is always "not spinning": the tick reduces to the
-    /// backoff bookkeeping plus one recorded check, and clearing the
-    /// window would be a no-op — which is exactly what lets the engine
-    /// skip building a [`TimerCtx`] for it.
-    fn on_timer_idle_quiet(&mut self, cpu: usize) -> Option<u64> {
-        if self.det.params.adaptive_backoff {
-            let c = self.core(cpu);
-            c.ticks += 1;
-            if c.disabled || !c.ticks.is_multiple_of(c.stride) {
-                // Disabled core or widened-window skip: no inspection,
-                // no charge (the full path's window clear is a no-op on
-                // an untouched window).
-                return Some(0);
-            }
-        }
-        self.det.note_check(false);
-        Some(self.det.params.check_cost_ns)
-    }
-
-    /// Without adaptive backoff an idle-quiet tick is a pure constant:
-    /// charge the check cost, record one quiet check. With backoff the
-    /// per-core stride counters advance every tick, so the constant path
-    /// must stay off and [`BwdMechanism::on_timer_idle_quiet`] handles
-    /// each tick individually.
+    /// Without adaptive backoff an idle-quiet tick is a pure constant: an
+    /// untouched window's LBR ring is not full, so it classifies as not
+    /// spinning, and clearing it is a no-op. The tick charges the check
+    /// cost and records one quiet check. With backoff the per-core stride
+    /// counters advance every tick, so each tick takes
+    /// [`BwdMechanism::on_timer`].
     fn idle_quiet_constant(&self) -> Option<u64> {
         (!self.det.params.adaptive_backoff).then_some(self.det.params.check_cost_ns)
     }

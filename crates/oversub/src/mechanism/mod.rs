@@ -128,43 +128,30 @@ pub trait Mechanism {
         TimerVerdict::default()
     }
 
-    /// Opt-in fast path for a timer tick on an *idle, quiet* core: no task
-    /// is running, no faults are armed, and the monitoring window is
-    /// untouched (`CoreHw::window_untouched`). Return `Some(charge_ns)` to
-    /// take the tick without a [`TimerCtx`] — the implementation must
-    /// leave the mechanism in exactly the state a full
-    /// [`Mechanism::on_timer`] call would have (counters included), given
-    /// that an untouched window classifies as not-spinning and clearing
-    /// it is a no-op. Return `None` (the default) to force the full
-    /// dispatch; mechanisms that don't opt in lose nothing but speed.
-    fn on_timer_idle_quiet(&mut self, _cpu: usize) -> Option<u64> {
-        None
-    }
-
-    /// Stronger opt-in than [`Mechanism::on_timer_idle_quiet`]: when the
-    /// idle-quiet tick reduces to a *constant* — a fixed kernel charge
-    /// plus one recorded check, with no other per-tick state — return
-    /// `Some(charge_ns)` and the engine will take such ticks without any
-    /// mechanism call at all, crediting the deferred checks in one batch
-    /// through [`Mechanism::note_idle_checks`] before counters are read.
-    /// Must return `None` whenever per-tick state advances (e.g. BWD's
+    /// Opt-in to tickless idle for a timer tick on an *idle, quiet*
+    /// core: no task is running and the monitoring window is untouched
+    /// (`CoreHw::window_untouched`). When such a tick reduces to a
+    /// *constant* — a fixed kernel charge plus one recorded check, with
+    /// no other per-tick state — return `Some(charge_ns)`. Must return
+    /// `None` whenever per-tick state advances (e.g. BWD's
     /// adaptive-backoff stride counters). Queried once at engine
     /// construction, after [`Mechanism::configure`].
     ///
-    /// A constant idle tick also lets the engine skip such ticks
-    /// entirely (tickless idle): when this is the pipeline's only timer
-    /// mechanism and `charge_ns` is at most its interval, an idle-quiet
-    /// tick lets the core's timer lapse until a task starts there, and
-    /// the skipped ticks are credited in closed form — the same kernel
-    /// charge and deferred check per tick, without popping them.
+    /// When this is the pipeline's only timer mechanism, `charge_ns` is
+    /// at most its interval and the run has no faults, an idle-quiet tick
+    /// lets the core's timer lapse until a task starts there. The skipped
+    /// ticks are settled in closed form, the same kernel charge per tick
+    /// without popping them, and their checks are credited in one batch
+    /// through [`Mechanism::note_idle_checks`] at run end. Every other
+    /// tick takes [`Mechanism::on_timer`].
     fn idle_quiet_constant(&self) -> Option<u64> {
         None
     }
 
-    /// Credit `n` idle-quiet ticks deferred by the engine's constant
-    /// fast path (only ever called when [`Mechanism::idle_quiet_constant`]
-    /// returned `Some`). Recorded checks are commutative counters, so
-    /// batching them cannot perturb any metric.
+    /// Credit `n` idle-quiet ticks settled by tickless idle (only ever
+    /// called when [`Mechanism::idle_quiet_constant`] returned `Some`).
+    /// Recorded checks are commutative counters, so batching them cannot
+    /// perturb any metric.
     fn note_idle_checks(&mut self, n: u64) {
         let _ = n;
     }
@@ -312,34 +299,9 @@ impl MechanismSet {
         self.items[idx].timer_interval_ns()
     }
 
-    /// Batched handling of one timer tick on an idle, quiet core: the
-    /// common case on oversized machines, where most cores tick with
-    /// nothing running and an untouched monitoring window. Returns the
-    /// kernel charge when mechanism `idx` opted in via
-    /// [`Mechanism::on_timer_idle_quiet`] — amortizing away the
-    /// [`TimerCtx`] construction, window classification, and window clear
-    /// of the full path — or `None` when the tick must take the full
-    /// dispatch. With the engine gating on the scheduler's active-core
-    /// bitset, full `on_timer` dispatches scale with *active* cores, not
-    /// machine size.
-    pub fn dispatch_timer_batch(&mut self, idx: usize, cpu: usize) -> Option<u64> {
-        self.items[idx].on_timer_idle_quiet(cpu)
-    }
-
     /// [`Mechanism::idle_quiet_constant`] of mechanism `idx`.
     pub fn idle_quiet_constant(&self, idx: usize) -> Option<u64> {
         self.items[idx].idle_quiet_constant()
-    }
-
-    /// Flush the engine's deferred idle-tick counts into their
-    /// mechanisms ([`Mechanism::note_idle_checks`]).
-    pub fn flush_idle_checks(&mut self, pending: &mut [u64]) {
-        for (idx, n) in pending.iter_mut().enumerate() {
-            if *n > 0 {
-                self.items[idx].note_idle_checks(*n);
-                *n = 0;
-            }
-        }
     }
 
     /// `(index, interval)` of every mechanism with a periodic timer.

@@ -101,7 +101,8 @@ pub struct Scheduler {
     /// CPU `i` has a current task. Maintained on the only two transitions
     /// (`start`, `stop_current`), so "is this core running anything" and
     /// "how many cores are busy" are O(1)/O(words) without striding over
-    /// `cpus` — the basis of the O(active) mechanism-timer dispatch.
+    /// `cpus`: the engine's tickless-idle test reads the first, the
+    /// atomic-RMW contention model the second.
     active_mask: Vec<u64>,
     /// Reference (pre-overhaul) mode: full balancer scans. See
     /// [`Scheduler::set_reference_mode`].

@@ -17,32 +17,27 @@
 //! Two implementations live behind [`EventQueue`]:
 //!
 //! - The default **fast** queue pops the minimum key over three sources:
-//!   - a binary heap for irregular events, with O(1) slot/generation
-//!     cancellation (no hashing on `peek_time`/`pop`), fronted by one
-//!     slot that holds the earliest heap-bound entry while it is earlier
-//!     than the heap's top, so an event scheduled to be next pops
-//!     without a sift;
+//!   - a binary heap for irregular events, fronted by one slot that
+//!     holds the earliest heap-bound entry while it is earlier than the
+//!     heap's top, so an event scheduled to be next pops without a sift;
 //!   - per-cadence FIFO lanes for timers declared through
 //!     [`EventQueue::schedule_cadenced`];
 //!   - re-armable timer slots ([`EventQueue::arm`]): an indexed heap
 //!     holding at most one entry per slot, where arming a slot replaces
 //!     its pending entry and [`EventQueue::disarm`] removes it, so a
 //!     superseded one-shot timer never enters the queue's pop path.
-//! - The **classic** queue ([`EventQueue::classic`]): the original
-//!   `BinaryHeap` + `HashSet` lazy-cancellation structure, kept as the
-//!   measurement baseline and as the reference model for the golden
-//!   determinism test. Both implementations draw sequence numbers the same
-//!   way, so they pop the exact same `(time, seq)` order for the same call
-//!   sequence, except that the classic queue keeps and pops the entries
-//!   that re-arming or disarming a slot superseded. Only the classic queue
-//!   can permute equal-time ties ([`EventQueue::classic_salted`]), which
-//!   is the queue the schedule-robustness certifier runs on.
+//! - The **classic** queue ([`EventQueue::classic`]): one plain
+//!   `BinaryHeap`, kept as the measurement baseline and as the reference
+//!   model for the golden determinism test. Both implementations draw
+//!   sequence numbers the same way, so they pop the exact same
+//!   `(time, seq)` order for the same call sequence, except that the
+//!   classic queue keeps and pops the entries that re-arming or
+//!   disarming a slot superseded. Only the classic queue can permute
+//!   equal-time ties ([`EventQueue::classic_salted`]), which is the queue
+//!   the reference engine and the schedule-robustness certifier run on.
 //!
-//! Cancellation in the fast queue is still lazy in the heap (a cancelled
-//! entry stays until it surfaces), but the liveness check is a slab index
-//! lookup instead of a hash probe, cancel-after-pop is detected exactly
-//! via slot generations (the classic structure leaked those seqs forever),
-//! and [`EventQueue::len`] is an exact live count, not an upper bound.
+//! A one-shot event cannot be taken back once queued. A timer that may
+//! be re-armed or retired goes in a slot ([`EventQueue::arm`]).
 //!
 //! A caller can also draw an event's key without queuing the event
 //! ([`EventQueue::reserve`]) and queue it under that key later
@@ -52,23 +47,6 @@
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
-
-/// Handle to a scheduled event, usable for cancellation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventHandle(u64);
-
-impl EventHandle {
-    fn fast(slot: u32, gen: u32) -> Self {
-        EventHandle(((slot as u64) << 32) | gen as u64)
-    }
-    fn fast_parts(self) -> (u32, u32) {
-        ((self.0 >> 32) as u32, self.0 as u32)
-    }
-}
-
-/// Sentinel slot index for entries that have no cancellation slot
-/// (everything not scheduled through [`EventQueue::schedule`]).
-const NO_SLOT: u32 = u32::MAX;
 
 /// Pop-order key of a fast-queue entry: `(time, scheduled_at, seq)` (see
 /// the module docs).
@@ -107,29 +85,20 @@ fn mix_ord(seq: u64, salt: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// An entry of the classic queue. `sched_at` is always zero and `slot`
-/// always [`NO_SLOT`]; both stay so that the entry keeps its size and the
-/// reference queue's cost, the denominator of `sim_throughput`'s speedup
-/// gates, does not move.
+/// An entry of the classic queue, ordered by `(time, ord)`.
 struct HeapEntry<E> {
     time: SimTime,
-    /// Always zero: the classic queue orders by `(time, ord)`.
-    sched_at: SimTime,
     /// Tie-break key: `(burst at insert, mix_ord(seq, salt))`. Unsalted
     /// this is `(burst, seq)`, lexicographically the same order as raw
     /// `seq` (bursts are monotone in insertion order), so salt `0` is
-    /// bit-for-bit the pinned behavior. The entry keeps no other copy of
-    /// its sequence number.
+    /// bit-for-bit the pinned behavior.
     ord: (u64, u64),
-    /// Never read; part of the kept layout.
-    #[allow(dead_code)]
-    slot: u32,
     payload: E,
 }
 
 impl<E> PartialEq for HeapEntry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.sched_at == other.sched_at && self.ord == other.ord
+        self.time == other.time && self.ord == other.ord
     }
 }
 impl<E> Eq for HeapEntry<E> {}
@@ -140,13 +109,9 @@ impl<E> PartialOrd for HeapEntry<E> {
 }
 impl<E> Ord for HeapEntry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest
-        // (time, sched_at, ord) pops first.
-        let primary =
-            |e: &Self| ((e.time.as_nanos() as u128) << 64) | e.sched_at.as_nanos() as u128;
-        primary(other)
-            .cmp(&primary(self))
-            .then_with(|| other.ord.cmp(&self.ord))
+        // BinaryHeap is a max-heap; invert so the earliest (time, ord)
+        // pops first.
+        (other.time, other.ord).cmp(&(self.time, self.ord))
     }
 }
 
@@ -157,8 +122,6 @@ struct Entry<E> {
     /// explicit back-date of [`EventQueue::schedule_backdated`].
     sched_at: SimTime,
     seq: u64,
-    /// Cancellation slot, or [`NO_SLOT`].
-    slot: u32,
     payload: E,
 }
 
@@ -191,19 +154,6 @@ impl<E> Ord for Entry<E> {
             .cmp(&primary(self))
             .then_with(|| other.seq.cmp(&self.seq))
     }
-}
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum SlotState {
-    Vacant,
-    Pending,
-    Cancelled,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    gen: u32,
-    state: SlotState,
 }
 
 /// FIFO lane for one timer cadence (see [`EventQueue::schedule_cadenced`]).
@@ -406,8 +356,8 @@ enum Source {
     Lane(usize),
 }
 
-/// The default implementation: slab-cancellation heap with a front slot
-/// + per-cadence FIFO lanes + re-armable timer slots.
+/// The default implementation: a heap with a front slot, per-cadence
+/// FIFO lanes and re-armable timer slots.
 struct FastQueue<E> {
     /// The earliest heap-bound entry, kept out of `heap` while it is
     /// earlier than every entry there: the heap source's minimum.
@@ -415,16 +365,10 @@ struct FastQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     lanes: Vec<Lane<E>>,
     timers: TimerSlots<E>,
-    slots: Vec<Slot>,
-    free: Vec<u32>,
     next_seq: u64,
-    /// Exact number of live (scheduled, not cancelled, not popped)
-    /// events, armed timer slots included.
+    /// Exact number of queued (not yet popped) events, armed timer slots
+    /// included.
     live: usize,
-    /// Cancelled entries still physically in the heap. Pops skip the
-    /// cancelled-top drain scan entirely while this is zero — which for
-    /// the engine is always (it never cancels by handle).
-    cancelled_pending: usize,
     /// Sim time of the most recent pop: the `scheduled_at` stamp of every
     /// ordinary schedule call.
     now: SimTime,
@@ -439,36 +383,11 @@ impl<E> FastQueue<E> {
             heap: BinaryHeap::new(),
             lanes: Vec::new(),
             timers: TimerSlots::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
             next_seq: 0,
             live: 0,
-            cancelled_pending: 0,
             now: SimTime::ZERO,
             popped: (SimTime::ZERO, SimTime::ZERO, 0),
         }
-    }
-
-    fn alloc_slot(&mut self) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            self.slots[slot as usize].state = SlotState::Pending;
-            slot
-        } else {
-            let slot = self.slots.len() as u32;
-            assert!(slot < NO_SLOT, "slot space exhausted");
-            self.slots.push(Slot {
-                gen: 0,
-                state: SlotState::Pending,
-            });
-            slot
-        }
-    }
-
-    fn release_slot(&mut self, slot: u32) {
-        let s = &mut self.slots[slot as usize];
-        s.gen = s.gen.wrapping_add(1);
-        s.state = SlotState::Vacant;
-        self.free.push(slot);
     }
 
     /// Draw the next sequence number: every schedule call and every arm
@@ -480,13 +399,12 @@ impl<E> FastQueue<E> {
     }
 
     /// A new live entry keyed `(at, sched_at, next seq)`.
-    fn entry(&mut self, at: SimTime, sched_at: SimTime, slot: u32, payload: E) -> Entry<E> {
+    fn entry(&mut self, at: SimTime, sched_at: SimTime, payload: E) -> Entry<E> {
         self.live += 1;
         Entry {
             time: at,
             sched_at,
             seq: self.draw_seq(),
-            slot,
             payload,
         }
     }
@@ -505,27 +423,16 @@ impl<E> FastQueue<E> {
         }
     }
 
-    fn schedule(&mut self, at: SimTime, payload: E) -> EventHandle {
-        let slot = self.alloc_slot();
-        let gen = self.slots[slot as usize].gen;
-        let e = self.entry(at, self.now, slot, payload);
-        self.push_heap(e);
-        EventHandle::fast(slot, gen)
-    }
-
-    /// Schedule without a cancellation slot: the entry can never be
-    /// cancelled, so pops skip the slab entirely. This is the engine's
-    /// hot path: it never cancels by handle.
     fn schedule_nocancel(&mut self, at: SimTime, payload: E) {
-        let e = self.entry(at, self.now, NO_SLOT, payload);
+        let e = self.entry(at, self.now, payload);
         self.push_heap(e);
     }
 
-    /// A never-cancelled heap entry keyed as though scheduled at sim time
-    /// `sched_at` (see [`EventQueue::schedule_backdated`]).
+    /// A heap entry keyed as though scheduled at sim time `sched_at` (see
+    /// [`EventQueue::schedule_backdated`]).
     fn schedule_backdated(&mut self, at: SimTime, sched_at: SimTime, payload: E) {
         debug_assert!(sched_at <= self.now, "back-dated into the future");
-        let e = self.entry(at, sched_at, NO_SLOT, payload);
+        let e = self.entry(at, sched_at, payload);
         self.push_heap(e);
     }
 
@@ -534,7 +441,7 @@ impl<E> FastQueue<E> {
         Reserved((at, self.now, self.draw_seq()))
     }
 
-    /// Queue a never-cancelled entry under a reserved key.
+    /// Queue an entry under a reserved key.
     fn schedule_reserved(&mut self, r: Reserved, payload: E) {
         let (time, sched_at, seq) = r.0;
         debug_assert!(r.0 > self.popped, "reserved key already passed");
@@ -543,7 +450,6 @@ impl<E> FastQueue<E> {
             time,
             sched_at,
             seq,
-            slot: NO_SLOT,
             payload,
         });
     }
@@ -554,7 +460,7 @@ impl<E> FastQueue<E> {
     /// way: lanes share the global sequence counter and pops compare
     /// keys across all sources.
     fn schedule_cadenced(&mut self, at: SimTime, interval_ns: u64, payload: E) {
-        let e = self.entry(at, self.now, NO_SLOT, payload);
+        let e = self.entry(at, self.now, payload);
         let lane = match self.lanes.iter().position(|l| l.interval_ns == interval_ns) {
             Some(i) => Some(i),
             None if self.lanes.len() < MAX_LANES => {
@@ -590,44 +496,8 @@ impl<E> FastQueue<E> {
         }
     }
 
-    fn cancel(&mut self, handle: EventHandle) -> bool {
-        let (slot, gen) = handle.fast_parts();
-        let Some(s) = self.slots.get_mut(slot as usize) else {
-            return false;
-        };
-        if s.gen != gen || s.state != SlotState::Pending {
-            return false;
-        }
-        s.state = SlotState::Cancelled;
-        self.live -= 1;
-        self.cancelled_pending += 1;
-        true
-    }
-
-    /// True if `slot` belongs to a cancelled entry.
-    fn is_cancelled(&self, slot: u32) -> bool {
-        slot != NO_SLOT && self.slots[slot as usize].state == SlotState::Cancelled
-    }
-
-    /// Discard cancelled entries sitting in the front slot or on top of
-    /// the heap, releasing their slots for reuse. Free when nothing is
-    /// cancelled.
-    fn drain_cancelled(&mut self) {
-        while self.cancelled_pending > 0 {
-            let slot = match (&self.front, self.heap.peek()) {
-                (Some(f), _) if self.is_cancelled(f.slot) => self.front.take().map(|f| f.slot),
-                (_, Some(top)) if self.is_cancelled(top.slot) => self.heap.pop().map(|e| e.slot),
-                _ => None,
-            };
-            let Some(slot) = slot else { break };
-            self.release_slot(slot);
-            self.cancelled_pending -= 1;
-        }
-    }
-
-    /// The minimum live key and the source holding it.
-    fn min_source(&mut self) -> Option<(Key, Source)> {
-        self.drain_cancelled();
+    /// The minimum key and the source holding it.
+    fn min_source(&self) -> Option<(Key, Source)> {
         let mut best = self
             .front
             .as_ref()
@@ -654,9 +524,6 @@ impl<E> FastQueue<E> {
         let (key, payload) = match src {
             Source::Heap => {
                 let e = self.front.take().or_else(|| self.heap.pop())?;
-                if e.slot != NO_SLOT {
-                    self.release_slot(e.slot);
-                }
                 (e.key(), e.payload)
             }
             Source::Slots => self.timers.pop()?,
@@ -672,21 +539,15 @@ impl<E> FastQueue<E> {
     }
 }
 
-/// The original seed implementation: lazy cancellation through a
-/// `HashSet` of cancelled sequence numbers, probed on every peek/pop.
-/// Retained verbatim (including its cancel-after-pop leak) as the
-/// reference baseline, and the only queue that permutes ties (salted,
+/// The seed implementation's plain binary heap, the reference baseline
+/// and the only queue that permutes ties (salted,
 /// [`EventQueue::classic_salted`]). It has no timer slots: `arm` is a
-/// plain `schedule` and `disarm` a no-op, so the engine's reference and
-/// salted runs pop every superseded timer, as the seed engine did.
+/// plain `schedule` and `disarm` a no-op, so the reference engine pops
+/// every superseded timer, as the seed engine did.
 struct ClassicQueue<E> {
     heap: BinaryHeap<HeapEntry<E>>,
     next_seq: u64,
-    cancelled: std::collections::HashSet<u64>,
-    live: usize,
-    /// Tie-break permutation salt (see [`mix_ord`]). `cancelled` holds
-    /// salted keys `mix_ord(seq, salt)`, the only copy of an entry's
-    /// sequence number that its heap entry carries.
+    /// Tie-break permutation salt (see [`mix_ord`]).
     salt: u64,
     /// Burst counter: incremented on every pop, stamped into each entry's
     /// tie-break key at insert. Scopes the salt permutation to the events
@@ -695,69 +556,30 @@ struct ClassicQueue<E> {
 }
 
 impl<E> ClassicQueue<E> {
-    fn new() -> Self {
+    fn new(salt: u64) -> Self {
         ClassicQueue {
             heap: BinaryHeap::new(),
             next_seq: 0,
-            cancelled: std::collections::HashSet::new(),
-            live: 0,
-            salt: 0,
+            salt,
             burst: 0,
         }
     }
 
-    fn schedule(&mut self, at: SimTime, payload: E) -> EventHandle {
+    /// Queue `payload` at `at`, in insertion order among equal times (no
+    /// scheduled-at key).
+    fn schedule(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.heap.push(HeapEntry {
             time: at,
-            // No scheduled-at key: the classic queue orders by
-            // `(time, seq)` alone.
-            sched_at: SimTime::ZERO,
             ord: (self.burst, mix_ord(seq, self.salt)),
-            slot: NO_SLOT,
             payload,
         });
-        self.live += 1;
-        EventHandle(seq)
-    }
-
-    fn cancel(&mut self, handle: EventHandle) -> bool {
-        if handle.0 >= self.next_seq {
-            return false;
-        }
-        // Heap entries carry the salted key `mix_ord(seq, salt)` (a
-        // bijection), so cancellations are recorded under it too.
-        self.cancelled.insert(mix_ord(handle.0, self.salt))
-    }
-
-    fn drain_cancelled(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.contains(&top.ord.1) {
-                let Some(e) = self.heap.pop() else {
-                    debug_assert!(false, "peeked heap entry must pop");
-                    break;
-                };
-                self.cancelled.remove(&e.ord.1);
-                self.live = self.live.saturating_sub(1);
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        self.drain_cancelled();
-        self.heap.peek().map(|e| e.time)
     }
 
     fn pop(&mut self) -> Option<(SimTime, E)> {
         self.burst += 1;
-        self.drain_cancelled();
-        self.heap.pop().map(|e| {
-            self.live = self.live.saturating_sub(1);
-            (e.time, e.payload)
-        })
+        self.heap.pop().map(|e| (e.time, e.payload))
     }
 }
 
@@ -782,16 +604,16 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Create an empty queue (fast implementation: slab-cancellation
-    /// heap, cadence lanes and timer slots).
+    /// Create an empty queue (fast implementation: heap with a front
+    /// slot, cadence lanes and timer slots).
     pub fn new() -> Self {
         EventQueue {
             imp: Imp::Fast(FastQueue::new()),
         }
     }
 
-    /// Create an empty queue using the pre-overhaul reference
-    /// implementation (`BinaryHeap` + `HashSet` lazy cancellation).
+    /// Create an empty queue using the reference implementation (one
+    /// plain `BinaryHeap`).
     pub fn classic() -> Self {
         Self::classic_salted(0)
     }
@@ -802,10 +624,8 @@ impl<E> EventQueue<E> {
     /// deterministic permutation — the schedule-robustness certifier's
     /// knob.
     pub fn classic_salted(salt: u64) -> Self {
-        let mut q = ClassicQueue::new();
-        q.salt = salt;
         EventQueue {
-            imp: Imp::Classic(q),
+            imp: Imp::Classic(ClassicQueue::new(salt)),
         }
     }
 
@@ -814,32 +634,18 @@ impl<E> EventQueue<E> {
         matches!(self.imp, Imp::Classic(_))
     }
 
-    /// Schedule `payload` at absolute time `at`. Returns a cancellation
-    /// handle.
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> EventHandle {
+    /// Schedule the one-shot event `payload` at absolute time `at`. It
+    /// cannot be taken back; a timer that may be re-armed or retired
+    /// belongs in a slot ([`arm`](Self::arm)).
+    pub fn schedule_nocancel(&mut self, at: SimTime, payload: E) {
         match &mut self.imp {
-            Imp::Fast(q) => q.schedule(at, payload),
+            Imp::Fast(q) => q.schedule_nocancel(at, payload),
             Imp::Classic(q) => q.schedule(at, payload),
         }
     }
 
-    /// Schedule an event that will never be cancelled (no handle). On the
-    /// fast queue this skips cancellation-slot bookkeeping entirely, so
-    /// the pop path is a pure heap operation; on the classic queue it is
-    /// a plain `schedule`. This is the engine's hot path: the simulator
-    /// never cancels by handle (its re-armable timers use
-    /// [`arm`](Self::arm)).
-    pub fn schedule_nocancel(&mut self, at: SimTime, payload: E) {
-        match &mut self.imp {
-            Imp::Fast(q) => q.schedule_nocancel(at, payload),
-            Imp::Classic(q) => {
-                q.schedule(at, payload);
-            }
-        }
-    }
-
-    /// Schedule a never-cancelled event at `at` keyed as though it had
-    /// been scheduled at the earlier sim time `scheduled_at` (see the
+    /// Schedule a one-shot event at `at` keyed as though it had been
+    /// scheduled at the earlier sim time `scheduled_at` (see the
     /// module docs): among events due at `at`, it pops after those
     /// scheduled before `scheduled_at` and before those scheduled after
     /// it. Ties with events scheduled at exactly `scheduled_at` break by
@@ -852,9 +658,7 @@ impl<E> EventQueue<E> {
     pub fn schedule_backdated(&mut self, at: SimTime, scheduled_at: SimTime, payload: E) {
         match &mut self.imp {
             Imp::Fast(q) => q.schedule_backdated(at, scheduled_at, payload),
-            Imp::Classic(q) => {
-                q.schedule(at, payload);
-            }
+            Imp::Classic(q) => q.schedule(at, payload),
         }
     }
 
@@ -864,8 +668,8 @@ impl<E> EventQueue<E> {
         self.schedule_nocancel(at, payload)
     }
 
-    /// Schedule a never-cancelled tick of a fixed-interval timer,
-    /// declaring its cadence. On the fast queue, a timer that re-arms one
+    /// Schedule a one-shot tick of a fixed-interval timer, declaring its
+    /// cadence. On the fast queue, a timer that re-arms one
     /// interval after each fire pushes monotone `(time, scheduled_at,
     /// seq)` keys per cadence, so its ticks append to the cadence's FIFO
     /// lane with O(1) insert and O(1) pop. A push that is not monotone
@@ -875,9 +679,7 @@ impl<E> EventQueue<E> {
     pub fn schedule_cadenced(&mut self, at: SimTime, interval_ns: u64, payload: E) {
         match &mut self.imp {
             Imp::Fast(q) => q.schedule_cadenced(at, interval_ns, payload),
-            Imp::Classic(q) => {
-                q.schedule(at, payload);
-            }
+            Imp::Classic(q) => q.schedule(at, payload),
         }
     }
 
@@ -911,9 +713,7 @@ impl<E> EventQueue<E> {
     pub fn arm(&mut self, slot: usize, at: SimTime, payload: E) {
         match &mut self.imp {
             Imp::Fast(q) => q.arm(slot, at, payload),
-            Imp::Classic(q) => {
-                q.schedule(at, payload);
-            }
+            Imp::Classic(q) => q.schedule(at, payload),
         }
     }
 
@@ -923,18 +723,6 @@ impl<E> EventQueue<E> {
     pub fn disarm(&mut self, slot: usize) {
         if let Imp::Fast(q) = &mut self.imp {
             q.disarm(slot);
-        }
-    }
-
-    /// Cancel a previously scheduled event. Returns `true` if the event
-    /// was still pending (not yet popped or cancelled). On the fast queue
-    /// this is exact and O(1): cancelling an already-popped event returns
-    /// `false` even if its slot has been reused (generation check), and no
-    /// state is leaked.
-    pub fn cancel(&mut self, handle: EventHandle) -> bool {
-        match &mut self.imp {
-            Imp::Fast(q) => q.cancel(handle),
-            Imp::Classic(q) => q.cancel(handle),
         }
     }
 
@@ -962,9 +750,7 @@ impl<E> EventQueue<E> {
     pub fn schedule_reserved(&mut self, r: Reserved, payload: E) {
         match &mut self.imp {
             Imp::Fast(q) => q.schedule_reserved(r, payload),
-            Imp::Classic(q) => {
-                q.schedule(r.0 .0, payload);
-            }
+            Imp::Classic(q) => q.schedule(r.0 .0, payload),
         }
     }
 
@@ -978,15 +764,15 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Time of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.imp {
+    /// Time of the next event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        match &self.imp {
             Imp::Fast(q) => q.min_source().map(|((t, _, _), _)| t),
-            Imp::Classic(q) => q.peek_time(),
+            Imp::Classic(q) => q.heap.peek().map(|e| e.time),
         }
     }
 
-    /// Pop the next live event.
+    /// Pop the next event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         match &mut self.imp {
             Imp::Fast(q) => q.pop(),
@@ -1006,23 +792,15 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// True if no live events remain. Takes `&mut self` because the
-    /// classic flavor must drain lazily-cancelled heap tops to answer
-    /// exactly (the fast flavor's count is always exact).
-    pub fn is_empty(&mut self) -> bool {
-        match &mut self.imp {
-            Imp::Fast(q) => q.live == 0,
-            Imp::Classic(q) => q.peek_time().is_none(),
-        }
+    /// True if no events remain (see [`len`](Self::len)).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Number of live events. Exact on the fast queue, where it counts
-    /// each armed timer slot once and no entry that re-arming or
-    /// disarming a slot superseded. On the classic queue this is the
-    /// legacy upper bound (heap entries including not-yet-drained
-    /// cancellations, and superseded slot entries) — which is also why
-    /// `is_empty` needs `&mut self` and trips this lint.
-    #[allow(clippy::len_without_is_empty)]
+    /// Number of queued events. The fast queue counts each armed timer
+    /// slot once and no entry that re-arming or disarming a slot
+    /// superseded; the classic queue, which keeps those entries, counts
+    /// them too.
     pub fn len(&self) -> usize {
         match &self.imp {
             Imp::Fast(q) => q.live,
@@ -1038,9 +816,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(30), "c");
-        q.schedule(SimTime::from_nanos(10), "a");
-        q.schedule(SimTime::from_nanos(20), "b");
+        q.schedule_nocancel(SimTime::from_nanos(30), "c");
+        q.schedule_nocancel(SimTime::from_nanos(10), "a");
+        q.schedule_nocancel(SimTime::from_nanos(20), "b");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }
@@ -1049,93 +827,24 @@ mod tests {
     fn ties_break_by_insertion_order() {
         let mut q = EventQueue::new();
         let t = SimTime::from_nanos(5);
-        q.schedule(t, 1);
-        q.schedule(t, 2);
-        q.schedule(t, 3);
+        q.schedule_nocancel(t, 1);
+        q.schedule_nocancel(t, 2);
+        q.schedule_nocancel(t, 3);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
-    fn cancellation_removes_event() {
-        let mut q = EventQueue::new();
-        let h1 = q.schedule(SimTime::from_nanos(1), "x");
-        q.schedule(SimTime::from_nanos(2), "y");
-        assert!(q.cancel(h1));
-        let (_, p) = q.pop().unwrap();
-        assert_eq!(p, "y");
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_twice_returns_false() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(SimTime::from_nanos(1), ());
-        assert!(q.cancel(h));
-        assert!(!q.cancel(h));
-    }
-
-    #[test]
-    fn cancel_unknown_handle_is_false() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventHandle(99)));
-        assert!(!q.cancel(EventHandle::fast(7, 0)));
-    }
-
-    #[test]
-    fn peek_skips_cancelled() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(SimTime::from_nanos(1), "dead");
-        q.schedule(SimTime::from_nanos(5), "live");
-        q.cancel(h);
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(5)));
-    }
-
-    #[test]
     fn interleaved_schedule_and_pop() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(10), 10);
+        q.schedule_nocancel(SimTime::from_nanos(10), 10);
         let (t, v) = q.pop().unwrap();
         assert_eq!((t.as_nanos(), v), (10, 10));
-        q.schedule(SimTime::from_nanos(5), 5);
-        q.schedule(SimTime::from_nanos(7), 7);
+        q.schedule_nocancel(SimTime::from_nanos(5), 5);
+        q.schedule_nocancel(SimTime::from_nanos(7), 7);
         assert_eq!(q.pop().unwrap().1, 5);
         assert_eq!(q.pop().unwrap().1, 7);
         assert!(q.pop().is_none());
-    }
-
-    /// Satellite fix: cancelling an already-popped event must return
-    /// `false` and must not leak state — even after its slot is reused.
-    #[test]
-    fn cancel_after_pop_is_false_and_leak_free() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(SimTime::from_nanos(1), "a");
-        assert_eq!(q.pop().unwrap().1, "a");
-        assert!(!q.cancel(h), "cancel after pop must be false");
-        assert_eq!(q.len(), 0, "no leaked live count");
-        // The slot is reused by the next schedule; the stale handle must
-        // not be able to cancel the new occupant.
-        let h2 = q.schedule(SimTime::from_nanos(2), "b");
-        assert!(!q.cancel(h), "stale handle must not hit reused slot");
-        assert!(q.cancel(h2));
-        assert!(q.pop().is_none());
-    }
-
-    /// Satellite fix: `len` is an exact live count, immediately reflecting
-    /// cancellations that are still physically in the heap.
-    #[test]
-    fn len_is_exact_under_cancellation() {
-        let mut q = EventQueue::new();
-        let h1 = q.schedule(SimTime::from_nanos(1), 1);
-        q.schedule(SimTime::from_nanos(2), 2);
-        let h3 = q.schedule(SimTime::from_nanos(3), 3);
-        assert_eq!(q.len(), 3);
-        assert!(q.cancel(h1));
-        assert!(q.cancel(h3));
-        assert_eq!(q.len(), 1, "exact count, not heap upper bound");
-        assert_eq!(q.pop().unwrap().1, 2);
-        assert_eq!(q.len(), 0);
-        assert!(q.is_empty());
     }
 
     /// A non-zero salt permutes equal-time pops but keeps time order,
@@ -1145,7 +854,7 @@ mod tests {
         let run = |salt: u64| {
             let mut q = EventQueue::classic_salted(salt);
             for i in 0..16 {
-                q.schedule(SimTime::from_nanos(5), i);
+                q.schedule_nocancel(SimTime::from_nanos(5), i);
                 q.schedule_nocancel(SimTime::from_nanos(9), 100 + i);
                 q.schedule_cadenced(SimTime::from_nanos(9), 4, 200 + i);
             }
@@ -1175,15 +884,15 @@ mod tests {
     #[test]
     fn salt_preserves_cross_burst_order() {
         let mut q = EventQueue::classic_salted(0xABCD);
-        q.schedule(SimTime::from_nanos(1), 0);
+        q.schedule_nocancel(SimTime::from_nanos(1), 0);
         // Burst 0: a tie group at t=5.
         for i in 10..14 {
-            q.schedule(SimTime::from_nanos(5), i);
+            q.schedule_nocancel(SimTime::from_nanos(5), i);
         }
         assert_eq!(q.pop().unwrap().1, 0);
         // Burst 1 (after one pop): another tie group at t=5.
         for i in 20..24 {
-            q.schedule(SimTime::from_nanos(5), i);
+            q.schedule_nocancel(SimTime::from_nanos(5), i);
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert!(
@@ -1385,9 +1094,9 @@ mod tests {
     fn non_monotone_cadenced_pushes_fall_back_to_the_heap() {
         let mut q = EventQueue::new();
         let t = SimTime::from_nanos(100);
-        q.schedule(t, 1);
+        q.schedule_nocancel(t, 1);
         q.schedule_cadenced(t, 40, 2);
-        q.schedule(t, 3);
+        q.schedule_nocancel(t, 3);
         q.schedule_cadenced(SimTime::from_nanos(50), 40, 0);
         q.schedule_cadenced(t, 40, 4);
         // With the 40 ns lane, the first seven of these fill the lane cap.
@@ -1426,9 +1135,6 @@ mod tests {
         assert_eq!(front(&q), (None, 4));
         q.schedule_nocancel(SimTime::from_nanos(20), 20);
         assert_eq!(front(&q), (Some(20), 4));
-        // A cancelled front entry is skipped like a cancelled heap top.
-        let h = q.schedule(SimTime::from_nanos(15), 15);
-        assert!(q.cancel(h));
         assert_eq!(q.peek_time(), Some(SimTime::from_nanos(20)));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
         assert_eq!(order, [20, 30, 35, 40, 50]);
@@ -1464,8 +1170,8 @@ mod tests {
         let times = [30u64, 10, 10, 99, 5, 10, 70, 5];
         for (i, &t) in times.iter().enumerate() {
             if i % 2 == 0 {
-                fast.schedule(SimTime::from_nanos(t), i);
-                classic.schedule(SimTime::from_nanos(t), i);
+                fast.schedule_nocancel(SimTime::from_nanos(t), i);
+                classic.schedule_nocancel(SimTime::from_nanos(t), i);
             } else {
                 fast.schedule_cadenced(SimTime::from_nanos(t), 20, i);
                 classic.schedule_cadenced(SimTime::from_nanos(t), 20, i);

@@ -15,7 +15,7 @@ pub mod rng;
 pub mod time;
 pub mod vclock;
 
-pub use events::{EventHandle, EventQueue, Reserved};
+pub use events::{EventQueue, Reserved};
 pub use pool::{JobPanic, PoolStats};
 pub use resource::{Grant, KernelLock, KernelLockParams};
 pub use rng::SimRng;
@@ -37,7 +37,7 @@ mod proptests {
         fn event_queue_is_time_ordered(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
             let mut q = EventQueue::new();
             for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_nanos(t), i);
+                q.schedule_nocancel(SimTime::from_nanos(t), i);
             }
             let mut last = SimTime::ZERO;
             let mut popped = 0usize;
@@ -54,7 +54,7 @@ mod proptests {
         fn event_queue_fifo_on_ties(n in 1usize..100) {
             let mut q = EventQueue::new();
             for i in 0..n {
-                q.schedule(SimTime::from_nanos(42), i);
+                q.schedule_nocancel(SimTime::from_nanos(42), i);
             }
             let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, p)| p).collect();
             prop_assert_eq!(order, (0..n).collect::<Vec<_>>());

@@ -2,34 +2,29 @@
 //!
 //! The model keeps every scheduled entry as `(time, seq, payload, state)`
 //! and pops the minimum `(time, seq)` among pending entries. Both queue
-//! flavors — the optimized heap/lane/slot queue and the classic
-//! heap+HashSet reference — must match it exactly: pop order, cancel
-//! return values, and the live-event count. Payloads are unique, so
-//! payload equality on every pop pins the *exact* global ordering,
-//! including FIFO among same-timestamp events scheduled through different
-//! paths (one-shot, no-cancel, cadence lane or its heap fallback, timer
-//! slot).
+//! flavors — the optimized heap/lane/slot queue and the classic plain
+//! heap reference — must match it exactly: pop order and the queued-event
+//! count. Payloads are unique, so payload equality on every pop pins the
+//! *exact* global ordering, including FIFO among same-timestamp events
+//! scheduled through different paths (one-shot, cadence lane or its heap
+//! fallback, timer slot).
 //!
 //! Timer slots: arming a slot supersedes the slot's pending entry and
 //! appends a new one; disarming supersedes it. The fast queue never pops
 //! a superseded entry. The classic queue keeps them, so it must pop the
 //! model's sequence with exactly the superseded entries interleaved.
 
-use oversub_simcore::{EventHandle, EventQueue, SimTime};
+use oversub_simcore::{EventQueue, SimTime};
 use proptest::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
-    /// Cancellable one-shot at `now + delta`.
+    /// One-shot at `now + delta`.
     Schedule(u64),
-    /// Hot-path one-shot without a cancellation handle.
-    ScheduleNocancel(u64),
     /// Declared-cadence entry (FIFO lane when monotone, else fallback).
     /// The index selects from a small set of intervals so several pushes
     /// share a lane and non-monotone pushes exercise the fallback.
     ScheduleCadenced(u64, usize),
-    /// Cancel the k-th handle ever returned (modulo how many exist).
-    Cancel(usize),
     /// Arm timer slot `slot` at `now + delta`.
     Arm(usize, u64),
     /// Disarm timer slot `slot`.
@@ -50,10 +45,8 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
             (0u64..100_000_000).prop_map(Op::Schedule),
-            (0u64..100_000_000).prop_map(Op::ScheduleNocancel),
             ((0u64..100_000_000), (0usize..CADENCES.len()))
                 .prop_map(|(d, i)| Op::ScheduleCadenced(d, i)),
-            (0usize..64).prop_map(Op::Cancel),
             // Small deltas make slot entries tie with the other sources.
             ((0usize..SLOTS), prop_oneof![0u64..4, 0u64..100_000_000])
                 .prop_map(|(s, d)| Op::Arm(s, d)),
@@ -68,7 +61,6 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum ModelState {
     Pending,
-    Cancelled,
     /// A slot entry that a later arm or a disarm replaced. Only the
     /// classic queue still holds it.
     Superseded,
@@ -78,8 +70,6 @@ enum ModelState {
 struct Model {
     /// One entry per schedule or arm call, in seq (= insertion) order.
     entries: Vec<(u64, u64, ModelState)>, // (time, payload, state)
-    /// Indices of entries that came from cancellable `schedule` calls.
-    handles: Vec<usize>,
     /// Per timer slot: the index of its entry, if any was armed.
     slots: [Option<usize>; SLOTS],
 }
@@ -88,7 +78,6 @@ impl Model {
     fn new() -> Self {
         Model {
             entries: Vec::new(),
-            handles: Vec::new(),
             slots: [None; SLOTS],
         }
     }
@@ -128,21 +117,8 @@ impl Model {
             .count()
     }
 
-    fn schedule(&mut self, at: u64, payload: u64, cancellable: bool) {
+    fn schedule(&mut self, at: u64, payload: u64) {
         self.entries.push((at, payload, ModelState::Pending));
-        if cancellable {
-            self.handles.push(self.entries.len() - 1);
-        }
-    }
-
-    fn cancel(&mut self, k: usize) -> bool {
-        let idx = self.handles[k];
-        if self.entries[idx].2 == ModelState::Pending {
-            self.entries[idx].2 = ModelState::Cancelled;
-            true
-        } else {
-            false
-        }
     }
 
     /// Minimum (time, seq) pending entry; seq order is entry order.
@@ -166,35 +142,24 @@ impl Model {
     }
 }
 
-/// `exact` asserts the slab queue's strengthened contract: exact `len()`
-/// at all times, exact `cancel()` return values, and superseded slot
-/// entries never popped. The classic queue only promises the seed's
-/// weaker one — `len()` is an upper bound until cancelled entries drain
-/// past the heap top, and cancelling an already-popped handle may
-/// spuriously report success (it cannot tell popped from pending; the
-/// slab's generation check can) — and keeps superseded slot entries: a
-/// model pop on it skips exactly those, each popped in its own place.
+/// `exact` asserts the fast queue's contract: superseded slot entries
+/// are never popped and never counted. The classic queue keeps them: a
+/// model pop on it skips exactly those, each popped in its own place,
+/// and its `len()` counts them until they pop.
 fn check_against_model(mut q: EventQueue<u64>, ops: Vec<Op>, exact: bool) {
     let mut model = Model::new();
-    let mut handles: Vec<EventHandle> = Vec::new();
     let mut next_payload = 0u64;
     let mut now = 0u64; // last popped time: schedules are now-relative
     for op in ops {
         match op {
             Op::Schedule(d) => {
-                let h = q.schedule(SimTime::from_nanos(now + d), next_payload);
-                handles.push(h);
-                model.schedule(now + d, next_payload, true);
-                next_payload += 1;
-            }
-            Op::ScheduleNocancel(d) => {
                 q.schedule_nocancel(SimTime::from_nanos(now + d), next_payload);
-                model.schedule(now + d, next_payload, false);
+                model.schedule(now + d, next_payload);
                 next_payload += 1;
             }
             Op::ScheduleCadenced(d, i) => {
                 q.schedule_cadenced(SimTime::from_nanos(now + d), CADENCES[i], next_payload);
-                model.schedule(now + d, next_payload, false);
+                model.schedule(now + d, next_payload);
                 next_payload += 1;
             }
             Op::Arm(slot, d) => {
@@ -206,18 +171,6 @@ fn check_against_model(mut q: EventQueue<u64>, ops: Vec<Op>, exact: bool) {
                 q.disarm(slot);
                 model.disarm(slot);
             }
-            Op::Cancel(k) => {
-                if !handles.is_empty() {
-                    let k = k % handles.len();
-                    let got = q.cancel(handles[k]);
-                    let want = model.cancel(k);
-                    if exact {
-                        prop_assert_eq!(got, want, "cancel return value diverged");
-                    } else if want {
-                        prop_assert!(got, "classic cancel refused a pending event");
-                    }
-                }
-            }
             Op::Pop => {
                 let got = pop_live(&mut q, &mut model, exact);
                 let want = model.pop();
@@ -227,13 +180,9 @@ fn check_against_model(mut q: EventQueue<u64>, ops: Vec<Op>, exact: bool) {
                 }
             }
         }
-        if exact {
-            prop_assert_eq!(q.len(), model.live(), "live count diverged");
-            prop_assert_eq!(q.is_empty(), model.live() == 0);
-        } else {
-            prop_assert!(q.len() >= model.held(), "classic len below held count");
-            prop_assert_eq!(q.is_empty(), model.held() == 0);
-        }
+        let want = if exact { model.live() } else { model.held() };
+        prop_assert_eq!(q.len(), want, "queued count diverged");
+        prop_assert_eq!(q.is_empty(), want == 0);
     }
     // Drain: the tail order must match too.
     loop {

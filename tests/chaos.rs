@@ -20,11 +20,12 @@
 //!    byte-identical to the reference engine's, or comes back as
 //!    `EngineError::InvalidConfig`.
 
+use oversub::hw::{AccessPattern, CacheParams};
 use oversub::sched::SchedParams;
 use oversub::simcore::SimTime;
 use oversub::workload::Workload;
 use oversub::workloads::memcached::Memcached;
-use oversub::workloads::micro::{Primitive, PrimitiveStress};
+use oversub::workloads::micro::{ArrayWalk, Primitive, PrimitiveStress};
 use oversub::workloads::pipeline::{SpinPipeline, WaitFlavor};
 use oversub::workloads::skeletons::{BenchProfile, Skeleton};
 use oversub::{
@@ -451,6 +452,76 @@ fn huge_scheduler_costs_are_rejected_without_a_panic() {
     }
 }
 
+/// The memory model divides by its line, page and element sizes, and by
+/// its refill bandwidth. On the Figure 4 array walk (two threads sharing
+/// one core), a zero size panicked `try_run` with a division by zero, and
+/// a zero bandwidth priced a cache refill at `u64::MAX` ns, which
+/// overflowed the context switch it was added to. `validate()` must
+/// refuse each, naming the field, and `try_run` must refuse the config.
+#[test]
+fn broken_memory_model_is_rejected_without_a_panic() {
+    type Set = fn(&mut CacheParams);
+    let cases: [(&str, Set, AccessPattern); 4] = [
+        ("line_bytes", |c| c.line_bytes = 0, AccessPattern::RndRead),
+        ("elem_bytes", |c| c.elem_bytes = 0, AccessPattern::SeqRead),
+        ("page_bytes", |c| c.page_bytes = 0, AccessPattern::RndRmw),
+        (
+            "refill_bytes_per_ns",
+            |c| c.refill_bytes_per_ns = 0.0,
+            AccessPattern::SeqRead,
+        ),
+    ];
+    for (name, set, pattern) in cases {
+        let mut cfg = RunConfig::vanilla(1)
+            .with_mech(Mechanisms::optimized())
+            .with_max_time(SimTime::from_millis(20));
+        set(&mut cfg.cache);
+        let err = cfg.validate().expect_err("validate() must reject it");
+        assert!(err.contains(name), "unexpected message: {err}");
+        let mut wl = ArrayWalk {
+            threads: 2,
+            total_ws: 8 << 20,
+            pattern,
+            passes: 2,
+        };
+        assert_eq!(refusal(&mut wl, &cfg), err);
+    }
+}
+
+/// Durations near `u64::MAX`: the engine staggers the first BWD and
+/// balance ticks at `interval + phase`, and the fault injector draws a
+/// slice delay or a timer jitter below `max + 1`; each sum overflowed.
+/// `validate()` caps them at 1 s, and `try_run` must refuse the config.
+#[test]
+fn huge_intervals_and_fault_delays_are_rejected_without_a_panic() {
+    type Set = fn(&mut RunConfig);
+    let cases: [(&str, Set); 4] = [
+        ("bwd_params.interval_ns", |c| {
+            c.bwd_params.interval_ns = u64::MAX
+        }),
+        ("balance_interval_ns", |c| {
+            c.sched.balance_interval_ns = u64::MAX
+        }),
+        ("slice_delay_ns", |c| {
+            c.faults = FaultPlan::default().slice_delays(u64::MAX)
+        }),
+        ("timer_jitter_ns", |c| {
+            c.faults = FaultPlan::default().timer_jitter(u64::MAX)
+        }),
+    ];
+    for (name, set) in cases {
+        let mut cfg = base_cfg(4, 42).with_max_time(SimTime::from_millis(20));
+        set(&mut cfg);
+        let err = cfg.validate().expect_err("validate() must reject it");
+        assert!(
+            err.contains(name) && err.contains("cap"),
+            "unexpected message: {err}"
+        );
+        let mut wl = SpinPipeline::new(8, 20, WaitFlavor::Flags);
+        assert_eq!(refusal(&mut wl, &cfg), err);
+    }
+}
+
 /// `RunConfig::validate`'s cap on one scheduler operation's cost.
 const SCHED_OP_CAP_NS: u64 = 1_000_000_000;
 
@@ -473,6 +544,24 @@ fn cost_ns() -> impl Strategy<Value = u64> {
 /// else a value below `max`.
 fn edge_ns(max: u64) -> impl Strategy<Value = u64> {
     prop_oneof![Just(0u64), Just(1u64), 2..max, 2..max]
+}
+
+/// `RunConfig::validate`'s cap on the BWD and balance intervals.
+const INTERVAL_CAP_NS: u64 = 1_000_000_000;
+
+/// A periodic timer's interval: [`edge_ns`] three times in four, else at
+/// the cap (accepted), just above it, or `u64::MAX` (refused).
+fn interval_ns(max: u64) -> impl Strategy<Value = u64> {
+    prop_oneof![
+        edge_ns(max),
+        edge_ns(max),
+        edge_ns(max),
+        prop_oneof![
+            Just(INTERVAL_CAP_NS),
+            Just(INTERVAL_CAP_NS + 1),
+            Just(u64::MAX)
+        ],
+    ]
 }
 
 proptest! {
@@ -521,7 +610,8 @@ proptest! {
 
     /// Config fuzzer: any machine shape (zero dimensions included), core
     /// count, mechanism preset, environment, pinning, elastic shrink and
-    /// grow, and value of the fields `validate()` guards, crossed with
+    /// grow, and value of the fields `validate()` guards (a quarter of the
+    /// cases zero one memory-model field), crossed with
     /// three workload families whose CPU demand may exceed the machine.
     /// `validate()` never panics. A config it refuses, `try_run` refuses
     /// with the same message; one it accepts runs to a report that passes
@@ -535,10 +625,16 @@ proptest! {
         initial_cores in prop_oneof![Just(None::<usize>), (0usize..11).prop_map(Some)],
         preset in 0usize..7,
         env in (any::<bool>(), any::<bool>()),
-        sched_ns in (edge_ns(20_000_000), edge_ns(2_000_000)),
-        bwd_ns in (edge_ns(400_000), edge_ns(400_000)),
+        sched_ns in (interval_ns(20_000_000), edge_ns(2_000_000)),
+        bwd_ns in (interval_ns(400_000), edge_ns(400_000)),
         ple_window_ns in edge_ns(100_000),
         costs in (0usize..9, cost_ns()),
+        zeroed_cache_field in prop_oneof![
+            Just(None::<usize>),
+            Just(None),
+            Just(None),
+            (0usize..4).prop_map(Some),
+        ],
         elastic in prop_oneof![
             Just(None),
             (1usize..8, 1usize..8, 0u64..10_000_000, 0u64..10_000_000).prop_map(Some),
@@ -591,6 +687,14 @@ proptest! {
             &mut s.vb_wake_ns,
             &mut s.vb_poll_ns,
         ][field] = ns;
+        let c = &mut cfg.cache;
+        match zeroed_cache_field {
+            Some(0) => c.line_bytes = 0,
+            Some(1) => c.page_bytes = 0,
+            Some(2) => c.elem_bytes = 0,
+            Some(_) => c.refill_bytes_per_ns = 0.0,
+            None => {}
+        }
         if let Some((shrink, grow, at, after)) = elastic {
             cfg.elastic = vec![
                 ElasticEvent { at: SimTime::from_nanos(at), cores: shrink },

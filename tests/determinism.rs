@@ -1,15 +1,15 @@
 //! Golden determinism test for the engine hot-path overhaul.
 //!
-//! The optimized engine (slab-cancellation event queue with a front slot,
-//! cadence lanes and timer slots, tickless idle, held-back reschedules)
-//! must produce **bit-identical metrics** to the reference engine
-//! (classic heap+HashSet queue, full balancer scans, every tick and
-//! reschedule queued) on every workload class the tier-1 suite covers. Reports are compared
-//! through their canonical JSON serialization, which is integer-exact, so
+//! The optimized engine (an event heap with a front slot, cadence lanes
+//! and timer slots, tickless idle, held-back reschedules) must produce
+//! **bit-identical metrics** to the reference engine (one plain heap,
+//! full balancer scans, every tick and reschedule queued) on every
+//! workload class the tier-1 suite covers. Reports are compared through
+//! their canonical JSON serialization, which is integer-exact, so
 //! equality here means every counter, histogram bucket, and timing field
 //! matches to the last bit. Each golden also pins both engines' event
 //! counts, and `salted_reports_are_pinned` pins the certifier's salted
-//! schedules.
+//! schedules, which run on the reference engine.
 
 use oversub::ksync::WaitMode;
 use oversub::metrics::MechCounters;
@@ -23,7 +23,7 @@ use oversub::workloads::skeletons::{BenchProfile, Skeleton};
 use oversub::workloads::webserving::WebServing;
 use oversub::{
     run, run_counted, schedule_salt, ElasticEvent, ExecEnv, MachineSpec, Mechanism, Mechanisms,
-    RunConfig, SpinExitVerdict,
+    RunConfig, SpinExitVerdict, TimerCtx, TimerVerdict,
 };
 use proptest::prelude::*;
 use std::any::Any;
@@ -307,6 +307,68 @@ fn custom_mechanism_runs_are_bit_identical() {
     );
 }
 
+/// An out-of-tree mechanism with its own monitoring timer: it charges a
+/// fixed cost on every tick, idle core or not, and counts the ticks that
+/// found a task running.
+struct Heartbeat {
+    ticks: u64,
+    busy_ticks: u64,
+}
+
+impl Mechanism for Heartbeat {
+    fn name(&self) -> &'static str {
+        "heartbeat"
+    }
+    fn timer_interval_ns(&self) -> Option<u64> {
+        Some(250_000)
+    }
+    fn on_timer(&mut self, ctx: &mut TimerCtx<'_>) -> TimerVerdict {
+        self.ticks += 1;
+        self.busy_ticks += u64::from(ctx.has_current);
+        TimerVerdict {
+            charge_ns: 300,
+            ..TimerVerdict::default()
+        }
+    }
+    fn counters(&self) -> MechCounters {
+        MechCounters {
+            timer_checks: self.ticks,
+            decisions: self.busy_ticks,
+            ..MechCounters::named("heartbeat")
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+}
+
+#[test]
+fn second_timer_mechanism_is_bit_identical() {
+    // `skeleton/8T/64c` with a second timer mechanism beside BWD. Tickless
+    // idle needs a single timer mechanism, so this is the clean run on
+    // which the optimized engine pops every idle core's BWD tick and
+    // runs it through the full `on_timer` path, as the reference does.
+    let profile = BenchProfile::by_name("streamcluster").expect("known benchmark");
+    let cfg = RunConfig::vanilla(64)
+        .with_machine(MachineSpec::PaperN(64))
+        .with_mech(Mechanisms::optimized())
+        .with_seed(11)
+        .with_max_time(SimTime::from_millis(120))
+        .with_mechanism(|| {
+            Box::new(Heartbeat {
+                ticks: 0,
+                busy_ticks: 0,
+            })
+        });
+    assert_golden(
+        || Box::new(Skeleton::scaled(profile, 8, 0.60).with_salt(11)),
+        &cfg,
+        "skeleton/8T/64c+heartbeat",
+        (1312, 0x55c2_b20a_adde_f0d3),
+        (113_287, 130_064),
+    );
+}
+
 #[test]
 fn vm_ple_runs_are_bit_identical() {
     let cfg = RunConfig::vanilla(4)
@@ -329,8 +391,8 @@ fn vm_ple_runs_are_bit_identical() {
     );
 }
 
-/// The schedule-robustness certifier's salted runs, which take the
-/// classic queue's tie-break permutation: the three race cells of
+/// The schedule-robustness certifier's salted runs, reference runs that
+/// take the classic queue's tie-break permutation: the three race cells of
 /// `tests/smoke.rs` whose salted schedules diverge, at the salts of
 /// schedules 1–3. Each pins the
 /// report's `(len, FNV-1a-64)` and the event count, so a change to the
