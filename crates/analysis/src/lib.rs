@@ -10,10 +10,10 @@
 //! | rule | what it flags | where |
 //! |------|---------------|-------|
 //! | D1 | `HashMap` / `HashSet` (iteration order can reach sim state) | sim crates |
-//! | D2 | wall-clock / ambient entropy (`Instant::now`, `SystemTime`, `thread_rng`, …) | everywhere except `bench` |
+//! | D2 | wall-clock / ambient entropy (`Instant::now`, `SystemTime`, `thread_rng`, …) | everywhere |
 //! | D3 | `unwrap` / `expect` / `panic!` / `unreachable!` on engine hot paths | `oversub/src/engine/*`, `oversub/src/exec.rs`, `oversub/src/mechanism/*`, `task/src/state.rs`, `task/src/table.rs`, `sched/src/rq.rs`, `metrics/src/digest.rs` |
 //! | D4 | mutable / public statics and `thread_local!` (state escaping seeding) | everywhere |
-//! | D5 | ad-hoc host threads (`thread::spawn` / `thread::scope` / `thread::Builder`) | everywhere except `simcore/src/pool.rs` and `bench` |
+//! | D5 | ad-hoc host threads (`thread::spawn` / `thread::scope` / `thread::Builder`) | everywhere except `simcore/src/pool.rs` |
 //! | D6 | `SimRng::new` outside the engine root (RNG provenance: one seeded root per run, streams derived by `fork`) | sim crates except `simcore` |
 //! | D7 | `min_by` / `max_by` / `min_by_key` / `max_by_key` (first-wins tie-break makes the pick iteration-order-dependent) | sim crates |
 //!
@@ -32,7 +32,7 @@ use std::path::{Path, PathBuf};
 use oversub_metrics::json::{obj, JsonValue};
 
 /// Version stamp of the rule set, printed by `detlint` and recorded in
-/// bench JSON headers so artifacts say which invariants were in force.
+/// its JSON report so a report says which invariants were in force.
 /// Bump when a rule is added, removed, or materially changed.
 pub const RULESET_VERSION: &str = "detlint-v7";
 
@@ -49,10 +49,6 @@ const SIM_CRATES: &[&str] = &[
     "workloads",
     "task",
 ];
-
-/// Crates allowed to read wall clocks (they measure the host, not the
-/// simulation).
-const TIME_EXEMPT_CRATES: &[&str] = &["bench"];
 
 /// The only library files allowed to create host threads (D5): the
 /// deterministic worker pool every parallel code path must go through.
@@ -83,8 +79,8 @@ const RULES: &[Rule] = &[
             "getrandom",
             "RandomState",
         ],
-        message: "wall-clock or ambient-entropy source outside bench; all \
-                  simulator randomness must flow from the seeded SimRng",
+        message: "wall-clock or ambient-entropy source; all simulator randomness \
+                  must flow from the seeded SimRng",
     },
     Rule {
         id: "D3",
@@ -137,7 +133,7 @@ const RULES: &[Rule] = &[
 fn rule_applies(rule: &Rule, crate_name: &str, rel_path: &str) -> bool {
     match rule.id {
         "D1" => SIM_CRATES.contains(&crate_name),
-        "D2" => !TIME_EXEMPT_CRATES.contains(&crate_name),
+        "D2" => true,
         "D3" => {
             rel_path.starts_with("crates/oversub/src/engine/")
                 // Mechanism hooks run inside the engine's event loop —
@@ -156,7 +152,7 @@ fn rule_applies(rule: &Rule, crate_name: &str, rel_path: &str) -> bool {
                 || rel_path == "crates/metrics/src/digest.rs"
         }
         "D4" => true,
-        "D5" => !HOST_THREAD_FILES.contains(&rel_path) && !TIME_EXEMPT_CRATES.contains(&crate_name),
+        "D5" => !HOST_THREAD_FILES.contains(&rel_path),
         // simcore is exempt from D6: it defines SimRng, and its doc
         // examples and helpers are the construction reference.
         "D6" => SIM_CRATES.contains(&crate_name) && crate_name != "simcore",
@@ -663,11 +659,11 @@ mod tests {
     }
 
     #[test]
-    fn d2_exempts_bench() {
+    fn d2_fires_in_every_crate() {
         let src = "let t = std::time::Instant::now();\n";
         assert_eq!(scan_source("sched", "crates/sched/src/x.rs", src).len(), 1);
-        assert!(scan_source("bench", "crates/bench/src/x.rs", src).is_empty());
-        // The deleted `criterion` shim's exemption is gone with it.
+        // No crate is exempt: host-side timing needs a justified allow entry.
+        assert_eq!(scan_source("bench", "crates/bench/src/x.rs", src).len(), 1);
         assert_eq!(
             scan_source("criterion", "crates/criterion/src/x.rs", src).len(),
             1
@@ -729,9 +725,12 @@ mod tests {
             scan_source("metrics", "crates/metrics/src/x.rs", src).len(),
             1
         );
-        // …but not in the pool itself or the host-measuring crate.
+        // …and in the bench crate, but not in the pool itself.
         assert!(scan_source("simcore", "crates/simcore/src/pool.rs", src).is_empty());
-        assert!(scan_source("bench", "crates/bench/src/bin/x.rs", src).is_empty());
+        assert_eq!(
+            scan_source("bench", "crates/bench/src/bin/x.rs", src).len(),
+            1
+        );
         assert_eq!(
             scan_source("criterion", "crates/criterion/src/x.rs", src).len(),
             1

@@ -1,90 +1,18 @@
-//! Shared plumbing for the figure/table regeneration binaries.
-//!
-//! Every binary accepts:
-//! - `--scale <f64>`: phase-count scale (default 0.25; 1.0 = paper-sized),
-//! - `--seed <u64>`: RNG seed (default 42),
-//! - `--jobs <N>`: sweep worker count (default: `OVERSUB_JOBS` or the
-//!   host's available parallelism; results are identical at any value),
-//! - `--csv`: emit CSV instead of the aligned table.
+//! The paper's evaluation as one list: every figure, table, ablation and
+//! extension driver ([`experiment_set`]), the `--only` selection over it
+//! ([`select`]) and the text form the `all_experiments` binary prints
+//! ([`render`]). `export_report` dumps one run's full report as JSON.
 
 use oversub::experiments::{self as exp, ExpOpts};
 use oversub::metrics::TextTable;
 use oversub::ExecEnv;
 
-/// Parsed command line for a figure binary.
-pub struct HarnessArgs {
-    /// Experiment options.
-    pub opts: ExpOpts,
-    /// Emit CSV.
-    pub csv: bool,
-}
-
-/// Parse `std::env::args` into [`HarnessArgs`]. A `--jobs N` flag is
-/// applied process-wide via [`oversub::sweep::set_jobs`].
-pub fn parse_args() -> HarnessArgs {
-    let mut opts = ExpOpts {
-        scale: 0.25,
-        seed: 42,
-    };
-    let mut csv = false;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--scale" => {
-                opts.scale = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("error: --scale needs a float");
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => {
-                opts.seed = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("error: --seed needs an integer");
-                    std::process::exit(2);
-                });
-            }
-            "--jobs" => {
-                let n: usize = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("error: --jobs needs a positive integer");
-                    std::process::exit(2);
-                });
-                if n == 0 {
-                    eprintln!("error: --jobs needs a positive integer");
-                    std::process::exit(2);
-                }
-                oversub::sweep::set_jobs(n);
-            }
-            "--csv" => csv = true,
-            "--quick" => opts.scale = 0.08,
-            "--full" => opts.scale = 1.0,
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: [--scale F] [--seed N] [--jobs N] [--csv] [--quick] [--full]");
-                std::process::exit(2);
-            }
-        }
-    }
-    HarnessArgs { opts, csv }
-}
-
-/// Print a finished experiment with a header.
-pub fn emit(title: &str, paper_ref: &str, table: &TextTable, csv: bool) {
-    if csv {
-        print!("{}", table.to_csv());
-    } else {
-        println!("== {title}");
-        println!("   (reproduces {paper_ref})");
-        println!();
-        print!("{}", table.render());
-    }
-}
-
 /// One entry of the full regeneration set: (id, description, driver).
 pub type Experiment = (&'static str, &'static str, Box<dyn Fn() -> TextTable>);
 
 /// Every figure, table, ablation, and extension driver, in report order.
-/// Shared by `all_experiments` (regeneration) and `sweep_wall` (the
-/// parallel-harness benchmark); each driver batches its own arms onto the
-/// sweep pool, so the list itself is iterated sequentially.
+/// Each driver batches its own arms onto the sweep pool, so the list
+/// itself is iterated sequentially.
 pub fn experiment_set(o: ExpOpts) -> Vec<Experiment> {
     vec![
         (
@@ -230,15 +158,129 @@ pub fn experiment_set(o: ExpOpts) -> Vec<Experiment> {
     ]
 }
 
-/// Render the full experiment set into the canonical `bench_output.txt`
-/// text form (`==== id: desc` headers). This is the byte-compared payload
-/// of the `sweep_wall` determinism gate.
-pub fn render_experiment_set(o: ExpOpts) -> String {
+/// The entries of `set` that the `--only` ids select, in set order; all
+/// of `set` when `only` is empty. An id selects the entries whose id
+/// equals it or equals it plus one sub-figure letter, so `Figure 13`
+/// selects `Figure 13a` and `Figure 13b` but `Figure 1` does not select
+/// `Figure 10a`. An id that selects nothing is an error, and its message
+/// lists the ids.
+pub fn select(set: Vec<Experiment>, only: &[String]) -> Result<Vec<Experiment>, String> {
+    // The rest of the id after `want`: nothing or one sub-figure letter.
+    let selects = |want: &str, id: &str| {
+        matches!(
+            id.strip_prefix(want).map(str::as_bytes),
+            Some([] | [b'a'..=b'z'])
+        )
+    };
+    if let Some(unknown) = only
+        .iter()
+        .find(|o| !set.iter().any(|(id, _, _)| selects(o, id)))
+    {
+        let mut ids: Vec<&str> = Vec::new();
+        for (id, _, _) in &set {
+            if !ids.contains(id) {
+                ids.push(id);
+            }
+        }
+        return Err(format!(
+            "unknown experiment id '{unknown}'; ids: {}",
+            ids.join(", ")
+        ));
+    }
+    Ok(set
+        .into_iter()
+        .filter(|(id, _, _)| only.is_empty() || only.iter().any(|o| selects(o, id)))
+        .collect())
+}
+
+/// Run `set` and render it as `all_experiments` prints it: for each
+/// entry a `==== id: desc` header, its aligned table and a blank line,
+/// or with `csv` only the table's CSV.
+pub fn render(set: Vec<Experiment>, csv: bool) -> String {
     let mut out = String::new();
-    for (id, desc, f) in experiment_set(o) {
-        out.push_str(&format!("==== {id}: {desc}\n"));
-        out.push_str(&f().render());
-        out.push('\n');
+    for (id, desc, f) in set {
+        let table = f();
+        if csv {
+            out.push_str(&table.to_csv());
+        } else {
+            out.push_str(&format!("==== {id}: {desc}\n"));
+            out.push_str(&table.render());
+            out.push('\n');
+        }
     }
     out
+}
+
+/// The full experiment set as `all_experiments` prints it at its
+/// default flags.
+pub fn render_experiment_set(o: ExpOpts) -> String {
+    render(experiment_set(o), false)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use oversub::sweep;
+
+    fn selected(only: &[&str]) -> Result<Vec<&'static str>, String> {
+        let only: Vec<String> = only.iter().map(|o| o.to_string()).collect();
+        select(experiment_set(ExpOpts::quick()), &only)
+            .map(|set| set.iter().map(|(id, _, _)| *id).collect())
+    }
+
+    #[test]
+    fn only_selects_an_id_and_its_sub_figures() {
+        assert_eq!(
+            selected(&["Figure 13"]),
+            Ok(vec!["Figure 13a", "Figure 13b"])
+        );
+        assert_eq!(selected(&["Figure 10b"]), Ok(vec!["Figure 10b"]));
+        assert_eq!(selected(&["Figure 1"]), Ok(vec!["Figure 1"]));
+        // Set order, whatever the flag order.
+        assert_eq!(
+            selected(&["Table 2", "Figure 2"]),
+            Ok(vec!["Figure 2", "Table 2"])
+        );
+        assert_eq!(selected(&["Ablation"]).map(|ids| ids.len()), Ok(6));
+        assert_eq!(selected(&[]).map(|ids| ids.len()), Ok(28));
+        for unknown in ["Figure 5", "Figure", "figure 1", ""] {
+            let err = selected(&["Figure 1", unknown]).unwrap_err();
+            assert!(
+                err.contains(&format!("'{unknown}'")) && err.contains("Figure 10a, Figure 10b"),
+                "{err}"
+            );
+        }
+    }
+
+    /// The whole paper sweep renders the same bytes on one worker as on
+    /// four, from a cold run cache each time, and every arm reaches the
+    /// pool: 693 runs, 109 cache hits, none uncached. A pool that merged
+    /// results in completion order instead of submission order fails it.
+    #[test]
+    #[ignore = "9 s in release and 60 s in debug on 2 vCPUs; CI runs it in release"]
+    fn full_set_is_byte_identical_across_jobs() {
+        let pass = |jobs| {
+            sweep::reset();
+            sweep::set_jobs(jobs);
+            let out = render_experiment_set(ExpOpts::quick());
+            let s = sweep::stats();
+            (
+                out,
+                (s.pool.jobs, s.cache_hits, s.cache_misses, s.uncached_runs),
+            )
+        };
+        let (sequential, sequential_counts) = pass(1);
+        let (parallel, parallel_counts) = pass(4);
+        let first_diff = sequential
+            .bytes()
+            .zip(parallel.bytes())
+            .position(|(a, b)| a != b);
+        assert_eq!(
+            (first_diff, sequential.len()),
+            (None, parallel.len()),
+            "jobs=1 vs jobs=4: (first differing byte, length)"
+        );
+        assert_eq!(sequential_counts, (693, 109, 693, 0), "jobs=1");
+        assert_eq!(parallel_counts, (693, 109, 693, 0), "jobs=4");
+    }
 }

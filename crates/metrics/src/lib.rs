@@ -5,7 +5,7 @@
 //! - [`report`]: the [`RunReport`] produced by every simulation run, with
 //!   the derived quantities the paper reports (normalized execution time,
 //!   CPU utilization in Table-1 units, migration counts, throughput).
-//! - [`table`]: plain-text / CSV rendering used by the per-figure binaries.
+//! - [`table`]: plain-text / CSV rendering used by the experiment drivers.
 
 pub mod digest;
 pub mod hist;

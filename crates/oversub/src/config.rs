@@ -181,9 +181,7 @@ pub struct RunConfig {
     /// queue, full balancer scans, every tick and reschedule queued).
     /// Metrics are bit-identical either way — this knob exists for the
     /// golden determinism test and before/after throughput comparisons.
-    /// Can also be forced with the `OVERSUB_REFERENCE_ENGINE` environment
-    /// variable, and a non-zero [`schedule_salt`](Self::schedule_salt)
-    /// implies it.
+    /// A non-zero [`schedule_salt`](Self::schedule_salt) implies it.
     pub reference_engine: bool,
     /// Out-of-tree mechanisms, appended to the pipeline after the in-tree
     /// ones selected by [`Mechanisms`]. See [`RunConfig::with_mechanism`].

@@ -229,11 +229,6 @@ pub struct PhaseProfile {
 }
 
 impl PhaseProfile {
-    /// Total attributed host nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.queue_pop_ns + self.pick_ns + self.mech_timer_ns + self.balance_ns + self.other_ns
-    }
-
     fn slot_for(&mut self, ev: &Event) -> &mut u64 {
         match ev {
             Event::Resched(_) | Event::PreemptCheck(_) => &mut self.pick_ns,
@@ -465,9 +460,7 @@ impl Engine {
         let end_cap = cfg.max_time.unwrap_or(DEFAULT_CAP);
         // Only the classic queue permutes ties, so a salted run is a
         // reference run with a salt.
-        let reference = cfg.reference_engine
-            || cfg.schedule_salt != 0
-            || std::env::var_os("OVERSUB_REFERENCE_ENGINE").is_some();
+        let reference = cfg.reference_engine || cfg.schedule_salt != 0;
         sched.set_reference_mode(reference);
         // Chaos-layer state: an injector only when the plan enables a
         // fault, park-ageing vectors only when the watchdog is armed, so
@@ -883,8 +876,8 @@ pub fn run_counted(
 /// additionally times event-queue pops and buckets each dispatch's cost
 /// by event class (runqueue pick, mechanism timers, balance, other).
 /// The instrumentation costs two `Instant::now` pairs per event, so this
-/// entry point is for profiling harnesses (`sim_throughput`), not for
-/// the benchmark's timed reps.
+/// entry point is for profiling (perfbench's `--trace 1` ledger runs it
+/// once, apart from its timed runs), not for timing a run.
 pub fn run_phase_profiled(
     workload: &mut dyn Workload,
     config: &RunConfig,

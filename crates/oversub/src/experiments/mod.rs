@@ -2,8 +2,8 @@
 //!
 //! Each driver runs the required simulation arms and renders the same rows
 //! or series the paper reports as a [`oversub_metrics::TextTable`] (also
-//! exportable as CSV). Bench binaries in `crates/bench` are thin wrappers
-//! around these.
+//! exportable as CSV). `oversub_bench::experiment_set` lists them all, and
+//! its `all_experiments` binary prints them.
 //!
 //! All drivers accept an [`ExpOpts`] whose `scale` shrinks per-run phase
 //! counts proportionally in every arm — relative results are preserved

@@ -184,19 +184,14 @@ fn absorb_pool_stats(stats: &PoolStats) {
 }
 
 // ---------------------------------------------------------------------
-// Generic job batches (chaos cells, bench reps)
+// Generic job batches (chaos and smoke cells)
 // ---------------------------------------------------------------------
 
 /// Run a batch of self-contained jobs on the pool at the configured jobs
 /// count, results in submission order. Uncached — for work that is not a
-/// plain (config, workload) simulation arm (chaos cells, bench reps).
+/// plain (config, workload) simulation arm (chaos and smoke cells).
 pub fn run_batch<T: Send>(batch: Vec<Job<'_, T>>) -> Vec<T> {
-    run_batch_with_jobs(batch, jobs())
-}
-
-/// [`run_batch`] at an explicit worker count.
-pub fn run_batch_with_jobs<T: Send>(batch: Vec<Job<'_, T>>, workers: usize) -> Vec<T> {
-    let (results, stats) = pool::run_ordered(batch, workers);
+    let (results, stats) = pool::run_ordered(batch, jobs());
     absorb_pool_stats(&stats);
     results
 }
@@ -492,9 +487,6 @@ mod tests {
         let batch: Vec<Job<'_, usize>> = (0..10usize)
             .map(|i| Box::new(move || i * 3) as Job<'_, usize>)
             .collect();
-        assert_eq!(
-            run_batch_with_jobs(batch, 4),
-            (0..10).map(|i| i * 3).collect::<Vec<_>>()
-        );
+        assert_eq!(run_batch(batch), (0..10).map(|i| i * 3).collect::<Vec<_>>());
     }
 }

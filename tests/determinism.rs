@@ -167,6 +167,23 @@ fn skeleton_benchmarks_are_bit_identical() {
 }
 
 #[test]
+fn oversubscribed_batch_is_bit_identical() {
+    // 64 threads on 32 cores: long runqueues and dense wakeup bursts.
+    let profile = BenchProfile::by_name("streamcluster").expect("known benchmark");
+    let cfg = RunConfig::vanilla(32)
+        .with_machine(MachineSpec::PaperN(32))
+        .with_mech(Mechanisms::optimized())
+        .with_seed(7);
+    assert_golden(
+        || Box::new(Skeleton::scaled(profile, 64, 0.10).with_salt(7)),
+        &cfg,
+        "skeleton/64T/32c",
+        (1179, 0xbe67_a1fe_e7c7_8c20),
+        (36_476, 56_962),
+    );
+}
+
+#[test]
 fn idle_heavy_machine_is_bit_identical() {
     // 8 threads on 64 CPUs: the event mix is dominated by periodic BWD
     // timers and balance passes on idle cores, which is exactly where
